@@ -84,8 +84,17 @@ type counters = {
      busy cycles. Piggybacks on existing activity points (like the
      idempotency-cache eviction) so it adds no engine events. *)
   queue_depth : Obs.Registry.histogram;
-  latencies : (string, Semper_util.Stats.Acc.t) Hashtbl.t;
+  (* Per-name histogram handles, each resolved on the name's first use
+     (when the registry creates it) and reused after: end-to-end
+     syscall latency keyed by syscall name, and acked op-tagged IKC
+     latency and retransmission counts keyed by message name. The
+     registry restores histograms in place, so a handle stays valid
+     across [System.restore]. *)
+  latencies : (string, Obs.Registry.histogram) Hashtbl.t;
+  ikc_hists : (string, ikc_instruments) Hashtbl.t;
 }
+
+and ikc_instruments = { ikc_latency : Obs.Registry.histogram; ikc_retries : Obs.Registry.histogram }
 
 (* Revocation operation state (Algorithm 1). One [revoke_op] exists per
    kernel participating in a revoke; [outstanding] counts remote revoke
@@ -321,6 +330,7 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
           (Printf.sprintf "kernel%d.queue_depth" id)
           ~buckets:queue_depth_buckets;
       latencies = Hashtbl.create 16;
+      ikc_hists = Hashtbl.create 16;
     }
   in
   let t =
@@ -411,7 +421,10 @@ let stats t : stats =
     dup_ikc = v t.ctr.dup_ikc;
     batches_sent = v t.ctr.batches_sent;
     batched_msgs = v t.ctr.batched_msgs;
-    latencies = t.ctr.latencies;
+    latencies =
+      (let accs = Hashtbl.create (Hashtbl.length t.ctr.latencies) in
+       Hashtbl.iter (fun name h -> Hashtbl.replace accs name (Obs.Registry.acc h)) t.ctr.latencies;
+       accs);
   }
 
 let obs t = t.obs
@@ -575,8 +588,24 @@ let mint_key t ~creator_pe ~creator_vpe ~kind =
 
 let job t f = Server.submit_work t.server f
 
-let trace_event t ~kind ?op ?src ?dst ?detail () =
-  Obs.Trace.record t.trace ~ts:(Engine.now t.engine) ~kind ?op ?src ?dst ?detail ()
+(* Span events. No optional arguments, so a call boxes nothing; [-1]
+   marks an absent op id or endpoint. *)
+let trace_event t ~kind ~op ~src ~dst detail =
+  Obs.Trace.emit t.trace ~ts:(Int64.to_int (Engine.now t.engine)) ~kind ~op ~src ~dst detail
+
+(* An event whose detail is integers, rendered through [layout] only
+   when the ring is read. *)
+let trace_ints t ~kind ~op ~src ~dst layout a b c =
+  Obs.Trace.emit_ints t.trace ~ts:(Int64.to_int (Engine.now t.engine)) ~kind ~op ~src ~dst layout
+    a b c
+
+let d_revoke_sweep = Obs.Trace.layout "deleted=%d"
+let d_revoke_cont = Obs.Trace.layout "absorbed=%d marked=%d"
+let d_revoke_mark = Obs.Trace.layout "marked=%d remote_msgs=%d"
+let d_migrate_start = Obs.Trace.layout "vpe%d"
+let d_migrate_transfer = Obs.Trace.layout "vpe%d caps=%d"
+let d_part_transfer = Obs.Trace.layout "pes=%d vpes=%d caps=%d"
+let d_handoff_start = Obs.Trace.layout "pes=%d vpes=%d"
 
 (* Operation id carried by an IKC, or -1 for untagged messages. *)
 let ikc_op : P.ikc -> int = function
@@ -628,22 +657,34 @@ let evict_expired t =
     end
   done
 
-let record_latency t (vpe : Vpe.t) =
-  let acc =
-    match Hashtbl.find_opt t.ctr.latencies vpe.Vpe.syscall_name with
-    | Some acc -> acc
-    | None ->
-      let acc = Semper_util.Stats.Acc.create () in
-      Hashtbl.add t.ctr.latencies vpe.Vpe.syscall_name acc;
-      acc
+(* The instruments cached under [name] in [tbl], registered by [make]
+   on the name's first use. [make] is a top-level function, so a cache
+   hit allocates nothing. *)
+let resolve tbl t name make =
+  match Hashtbl.find tbl name with
+  | v -> v
+  | exception Not_found ->
+    let v = make t name in
+    Hashtbl.add tbl name v;
+    v
+
+let syscall_latency_hist t name =
+  Obs.Registry.histogram t.obs
+    (Printf.sprintf "kernel%d.syscall_latency.%s" t.id name)
+    ~buckets:latency_buckets
+
+let ikc_instruments t name =
+  let hist what buckets =
+    Obs.Registry.histogram t.obs (Printf.sprintf "kernel%d.%s.%s" t.id what name) ~buckets
   in
-  let dt = Int64.to_float (Int64.sub (Engine.now t.engine) vpe.Vpe.syscall_start) in
-  Semper_util.Stats.Acc.add acc dt;
-  Obs.Registry.observe
-    (Obs.Registry.histogram t.obs
-       (Printf.sprintf "kernel%d.syscall_latency.%s" t.id vpe.Vpe.syscall_name)
-       ~buckets:latency_buckets)
-    dt
+  let ikc_latency = hist "ikc_latency" latency_buckets in
+  { ikc_latency; ikc_retries = hist "ikc_retries" retry_buckets }
+
+let cycles_since t start = Int64.to_int (Int64.sub (Engine.now t.engine) start)
+
+let record_latency t (vpe : Vpe.t) =
+  let h = resolve t.ctr.latencies t vpe.Vpe.syscall_name syscall_latency_hist in
+  Obs.Registry.observe_int h (cycles_since t vpe.Vpe.syscall_start)
 
 (* Syscall reply: message from the kernel PE back to the VPE's PE. *)
 let send_reply t (vpe : Vpe.t) (r : P.reply) =
@@ -651,7 +692,7 @@ let send_reply t (vpe : Vpe.t) (r : P.reply) =
       vpe.Vpe.syscall_pending <- false;
       record_latency t vpe;
       trace_event t ~kind:"syscall_exit" ~op:vpe.Vpe.span ~src:t.id ~dst:vpe.Vpe.id
-        ~detail:vpe.Vpe.syscall_name ();
+        vpe.Vpe.syscall_name;
       match vpe.Vpe.reply_k with
       | Some k ->
         vpe.Vpe.reply_k <- None;
@@ -679,7 +720,7 @@ let rec transmit_ikc t ~dst (ikc : P.ikc) =
   | None -> Log.err (fun m -> m "kernel %d: no peer kernel %d" t.id dst)
   | Some peer ->
     Obs.Registry.incr t.ctr.ikc_sent;
-    trace_event t ~kind:"ikc_send" ~op:(ikc_op ikc) ~src:t.id ~dst ~detail:(P.ikc_name ikc) ();
+    trace_event t ~kind:"ikc_send" ~op:(ikc_op ikc) ~src:t.id ~dst (P.ikc_name ikc);
     (* A framed multi-message is one fabric transfer whose size grows
        with its payload, so coalescing still pays serialisation latency
        for every inner message — only per-message overheads amortise. *)
@@ -693,7 +734,7 @@ let rec transmit_ikc t ~dst (ikc : P.ikc) =
         (c t).Cost.batch_header_bytes + (max 1 (List.length records) * (c t).Cost.ikc_bytes)
       | _ -> (c t).Cost.ikc_bytes
     in
-    Fabric.send ~tag:(P.ikc_name ikc) t.fabric ~src:t.pe ~dst:peer.pe ~bytes (fun () ->
+    Fabric.send_tagged t.fabric ~tag:(P.ikc_name ikc) ~src:t.pe ~dst:peer.pe ~bytes (fun () ->
         deliver_ikc peer ~src_kernel:t.id ikc)
 
 (* Credit-gated dispatch: consume one in-flight credit or park the
@@ -706,7 +747,7 @@ and dispatch_ikc t ~dst ikc =
   end
   else begin
     Obs.Registry.incr t.ctr.credit_stalls;
-    trace_event t ~kind:"credit_stall" ~op:(ikc_op ikc) ~src:t.id ~dst ~detail:(P.ikc_name ikc) ();
+    trace_event t ~kind:"credit_stall" ~op:(ikc_op ikc) ~src:t.id ~dst (P.ikc_name ikc);
     Queue.push (ikc, dst) queue
   end
 
@@ -749,8 +790,8 @@ and flush_batch t ~dst bs =
     let msgs = List.rev (Queue.fold (fun acc m -> m :: acc) [] bs.bq) in
     Queue.clear bs.bq;
     Obs.Registry.incr t.ctr.batches_sent;
-    Obs.Registry.incr ~by:n t.ctr.batched_msgs;
-    Obs.Registry.observe t.ctr.batch_occupancy (float_of_int n);
+    Obs.Registry.add t.ctr.batched_msgs n;
+    Obs.Registry.observe_int t.ctr.batch_occupancy n;
     dispatch_ikc t ~dst (P.Ik_batch { src_kernel = t.id; msgs });
     open_batch_window t ~dst bs
 
@@ -795,7 +836,8 @@ and return_credit ?ack_op t ~src_kernel =
         | None -> []
       in
       let acks = match ack_op with Some op -> op :: acks | None -> acks in
-      Fabric.send ~tag:"credit" t.fabric ~src:t.pe ~dst:peer.pe ~bytes:(c t).Cost.credit_bytes
+      Fabric.send_tagged t.fabric ~tag:"credit" ~src:t.pe ~dst:peer.pe
+        ~bytes:(c t).Cost.credit_bytes
         (fun () ->
           receive_credit peer ~peer:t.id;
           List.iter (fun op -> clear_retry peer op) acks))
@@ -823,15 +865,13 @@ and register_retry t op ~dst msg =
              its kernel thread) parked forever. *)
           Hashtbl.remove t.retry_msgs op;
           Obs.Registry.incr t.ctr.retry_exhausted;
-          trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:st.rdst
-            ~detail:(P.ikc_name st.rmsg) ();
+          trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:st.rdst (P.ikc_name st.rmsg);
           fail_exhausted_op t op
         end
         else begin
           st.rattempts <- st.rattempts + 1;
           Obs.Registry.incr t.ctr.retries;
-          trace_event t ~kind:"ikc_retry" ~op ~src:t.id ~dst:st.rdst
-            ~detail:(P.ikc_name st.rmsg) ();
+          trace_event t ~kind:"ikc_retry" ~op ~src:t.id ~dst:st.rdst (P.ikc_name st.rmsg);
           receive_credit t ~peer:st.rdst;
           ikc_send t ~dst:st.rdst st.rmsg;
           st.rtimer <-
@@ -847,16 +887,9 @@ and clear_retry t op =
   | Some st ->
     Hashtbl.remove t.retry_msgs op;
     Option.iter (Engine.cancel t.engine) st.rtimer;
-    let name = P.ikc_name st.rmsg in
-    let dt = Int64.to_float (Int64.sub (Engine.now t.engine) st.rstart) in
-    Obs.Registry.observe
-      (Obs.Registry.histogram t.obs (Printf.sprintf "kernel%d.ikc_latency.%s" t.id name)
-         ~buckets:latency_buckets)
-      dt;
-    Obs.Registry.observe
-      (Obs.Registry.histogram t.obs (Printf.sprintf "kernel%d.ikc_retries.%s" t.id name)
-         ~buckets:retry_buckets)
-      (float_of_int st.rattempts)
+    let hs = resolve t.ctr.ikc_hists t (P.ikc_name st.rmsg) ikc_instruments in
+    Obs.Registry.observe_int hs.ikc_latency (cycles_since t st.rstart);
+    Obs.Registry.observe_int hs.ikc_retries st.rattempts
 
 (* Retry budget exhausted for [op]: the peer is presumed unreachable.
    Requester-side operations answer the parked syscall with
@@ -1160,8 +1193,8 @@ and complete_revoke t (op : revoke_op) =
       let cost = Cost.ddl (c t) (2 * !deleted) in
       ( cost,
         fun () ->
-          trace_event t ~kind:"revoke_sweep" ~op:op.rop_id ~src:t.id
-            ~detail:(Printf.sprintf "deleted=%d" !deleted) ();
+          trace_ints t ~kind:"revoke_sweep" ~op:op.rop_id ~src:t.id ~dst:(-1) d_revoke_sweep
+            !deleted 0 0;
           (* Op-tagged so a dropped unlink is retransmitted: before,
              one lost [Ik_remove_child] left a dangling remote child
              link that only the cross-kernel audit noticed. *)
@@ -1237,8 +1270,8 @@ and absorb_continuation t (op : revoke_op) keys =
       in
       ( cost,
         fun () ->
-          trace_event t ~kind:"revoke_cont" ~op:op.rop_id ~src:t.id
-            ~detail:(Printf.sprintf "absorbed=%d marked=%d" (List.length keys) visited) ();
+          trace_ints t ~kind:"revoke_cont" ~op:op.rop_id ~src:t.id ~dst:(-1) d_revoke_cont
+            (List.length keys) visited 0;
           List.iter
             (fun (dst, keys) ->
               let msg_op = fresh_op t in
@@ -1349,9 +1382,8 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
       in
       ( cost,
         fun () ->
-          trace_event t ~kind:"revoke_mark" ~op:op.rop_id ~src:t.id
-            ~detail:(Printf.sprintf "marked=%d remote_msgs=%d" visited (List.length messages))
-            ();
+          trace_ints t ~kind:"revoke_mark" ~op:op.rop_id ~src:t.id ~dst:(-1) d_revoke_mark
+            visited (List.length messages) 0;
           List.iter
             (fun (dst, keys) ->
               (* Per-message op id: the reply resolves back to the
@@ -1823,10 +1855,9 @@ and local_delegate t ~(client : Vpe.t) ~src_key ~(recv : Vpe.t) =
 
 and deliver_ikc t ~src_kernel (ikc : P.ikc) =
   evict_expired t;
-  Obs.Registry.observe t.ctr.queue_depth (float_of_int (Server.queue_length t.server));
+  Obs.Registry.observe_int t.ctr.queue_depth (Server.queue_length t.server);
   Obs.Registry.incr t.ctr.ikc_received;
-  trace_event t ~kind:"ikc_recv" ~op:(ikc_op ikc) ~src:src_kernel ~dst:t.id
-    ~detail:(P.ikc_name ikc) ();
+  trace_event t ~kind:"ikc_recv" ~op:(ikc_op ikc) ~src:src_kernel ~dst:t.id (P.ikc_name ikc);
   match ikc with
   | P.Ik_obtain_req { op; src_kernel = origin; obj_reserved; client_pe; client_vpe; donor } ->
     if remote_dup t ~src_kernel ~op then ()
@@ -2468,8 +2499,8 @@ and migrate_transfer t ~(vpe : Vpe.t) ~dst ~done_k =
       Membership.complete_handoff t.membership ~pe:vpe.Vpe.pe ~kernel:dst;
       ( Int64.mul (Int64.of_int (List.length records)) 150L,
         fun () ->
-          trace_event t ~kind:"migrate_transfer" ~src:t.id ~dst
-            ~detail:(Printf.sprintf "vpe%d caps=%d" vpe.Vpe.id (List.length records)) ();
+          trace_ints t ~kind:"migrate_transfer" ~op:(-1) ~src:t.id ~dst d_migrate_transfer
+            vpe.Vpe.id (List.length records) 0;
           let op = fresh_op t in
           Hashtbl.add t.pending_ops op (P_migrate_caps { mc_vpe = vpe; mc_done = done_k });
           let msg = P.Ik_migrate_caps { op; src_kernel = t.id; vpe = vpe.Vpe.id; records } in
@@ -2511,11 +2542,8 @@ and part_transfer t ~pes ~(vpes : Vpe.t list) ~dst ~done_k =
       List.iter (fun pe -> Membership.complete_handoff t.membership ~pe ~kernel:dst) pes;
       ( Int64.mul (Int64.of_int (max 1 (List.length records))) 150L,
         fun () ->
-          trace_event t ~kind:"part_transfer" ~src:t.id ~dst
-            ~detail:
-              (Printf.sprintf "pes=%d vpes=%d caps=%d" (List.length pes) (List.length vpes)
-                 (List.length records))
-            ();
+          trace_ints t ~kind:"part_transfer" ~op:(-1) ~src:t.id ~dst d_part_transfer
+            (List.length pes) (List.length vpes) (List.length records);
           let op = fresh_op t in
           Hashtbl.add t.pending_ops op (P_part_caps { pc_vpes = vpes; pc_done = done_k });
           let msg =
@@ -2539,7 +2567,7 @@ let syscall t ~vpe call k =
   else if vpe.Vpe.syscall_pending then Engine.after t.engine 0L (fun () -> k (P.R_err P.E_busy))
   else begin
     evict_expired t;
-    Obs.Registry.observe t.ctr.queue_depth (float_of_int (Server.queue_length t.server));
+    Obs.Registry.observe_int t.ctr.queue_depth (Server.queue_length t.server);
     vpe.Vpe.syscall_pending <- true;
     vpe.Vpe.reply_k <- Some k;
     vpe.Vpe.syscall_name <- P.syscall_name call;
@@ -2547,7 +2575,7 @@ let syscall t ~vpe call k =
     vpe.Vpe.span <- fresh_op t;
     Obs.Registry.incr t.ctr.syscalls;
     trace_event t ~kind:"syscall_enter" ~op:vpe.Vpe.span ~src:t.id ~dst:vpe.Vpe.id
-      ~detail:vpe.Vpe.syscall_name ();
+      vpe.Vpe.syscall_name;
     Fabric.send t.fabric ~src:vpe.Vpe.pe ~dst:t.pe ~bytes:(c t).Cost.syscall_bytes (fun () ->
         Thread_pool.acquire t.threads (fun () -> handle_syscall t vpe call))
   end
@@ -2596,8 +2624,7 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
      misrouting (the records are still here until [migrate_transfer]). *)
   vpe.Vpe.frozen <- true;
   Membership.begin_handoff t.membership ~pe:vpe.Vpe.pe;
-  trace_event t ~kind:"migrate_start" ~src:t.id ~dst
-    ~detail:(Printf.sprintf "vpe%d" vpe.Vpe.id) ();
+  trace_ints t ~kind:"migrate_start" ~op:(-1) ~src:t.id ~dst d_migrate_start vpe.Vpe.id 0 0;
   let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
   match peers with
   | [] ->
@@ -2647,15 +2674,13 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
    Same retransmission discipline as a migrate-update broadcast. *)
 let announce_state t ~kernel state done_k =
   Membership.set_kernel_state t.membership ~kernel state;
-  trace_event t ~kind:"fleet_state" ~src:t.id ~dst:kernel
-    ~detail:
-      (match state with
-      | Membership.Spare -> "spare"
-      | Membership.Joining -> "joining"
-      | Membership.Active -> "active"
-      | Membership.Draining -> "draining"
-      | Membership.Retired -> "retired")
-    ();
+  trace_event t ~kind:"fleet_state" ~op:(-1) ~src:t.id ~dst:kernel
+    (match state with
+    | Membership.Spare -> "spare"
+    | Membership.Joining -> "joining"
+    | Membership.Active -> "active"
+    | Membership.Draining -> "draining"
+    | Membership.Retired -> "retired");
   let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
   match peers with
   | [] -> done_k ()
@@ -2713,8 +2738,8 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
      replica: in-flight resolves defer loudly instead of misrouting. *)
   List.iter (fun (vpe : Vpe.t) -> vpe.Vpe.frozen <- true) vpes;
   List.iter (fun pe -> Membership.begin_handoff t.membership ~pe) pes;
-  trace_event t ~kind:"handoff_start" ~src:t.id ~dst
-    ~detail:(Printf.sprintf "pes=%d vpes=%d" (List.length pes) (List.length vpes)) ();
+  trace_ints t ~kind:"handoff_start" ~op:(-1) ~src:t.id ~dst d_handoff_start (List.length pes)
+    (List.length vpes) 0;
   let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
   match peers with
   | [] -> part_transfer t ~pes ~vpes ~dst ~done_k

@@ -33,7 +33,8 @@ type service_handler = Protocol.service_request -> (Protocol.service_response ->
 
 (** A point-in-time snapshot of the kernel's metrics. The live values
     are counters in the kernel's {!Semper_obs.Obs.Registry} (names
-    [kernel<id>.<field>]); [latencies] is shared live state. *)
+    [kernel<id>.<field>]); [latencies] holds a copy of each
+    [kernel<id>.syscall_latency.<name>] histogram's moments. *)
 type stats = {
   syscalls : int;
   cap_ops : int;  (** capability-modifying operations handled *)

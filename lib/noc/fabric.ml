@@ -82,10 +82,10 @@ let deliver t ~src ~dst ~bytes a k =
   Hashtbl.replace t.last_delivery slot (Int64.to_int a);
   Semper_sim.Engine.at t.engine a (fun () ->
       Obs.Registry.incr t.messages_delivered;
-      Obs.Registry.incr ~by:bytes t.bytes_delivered;
+      Obs.Registry.add t.bytes_delivered bytes;
       k ())
 
-let send ?(tag = "") t ~src ~dst ~bytes k =
+let send_tagged t ~tag ~src ~dst ~bytes k =
   if bytes < 0 then invalid_arg "Fabric.send: negative size";
   let hops = Topology.hops t.topology src dst in
   let lat = latency_of_hops t ~hops ~bytes in
@@ -94,8 +94,8 @@ let send ?(tag = "") t ~src ~dst ~bytes k =
   (* Offered-load stats count at send time; delivery stats only once a
      copy actually arrives (an injector may drop or duplicate it). *)
   Obs.Registry.incr t.messages;
-  Obs.Registry.incr ~by:bytes t.bytes;
-  Obs.Registry.incr ~by:hops t.hops;
+  Obs.Registry.add t.bytes bytes;
+  Obs.Registry.add t.hops hops;
   match t.injector with
   | None ->
     (* Fast path: without an injector exactly one copy arrives at the
@@ -108,7 +108,7 @@ let send ?(tag = "") t ~src ~dst ~bytes k =
     (* Each [None] in the plan is one dropped copy; an empty plan is the
        whole message dropped (one drop, since exactly one was offered). *)
     let drops = if plan = [] then 1 else List.length (List.filter Option.is_none plan) in
-    if drops > 0 then Obs.Registry.incr ~by:drops t.dropped;
+    if drops > 0 then Obs.Registry.add t.dropped drops;
     let arrivals =
       (* Clamp each surviving copy so it is never earlier than the
          unfaulted arrival: faults add latency, they cannot create a
@@ -118,6 +118,8 @@ let send ?(tag = "") t ~src ~dst ~bytes k =
       |> List.sort Int64.compare
     in
     List.iter (fun a -> deliver t ~src ~dst ~bytes a k) arrivals
+
+let send t ~src ~dst ~bytes k = send_tagged t ~tag:"" ~src ~dst ~bytes k
 
 (* The traffic counters live in the metrics registry and are restored
    with it (Obs.Registry.restore); in-flight deliveries are engine

@@ -46,11 +46,15 @@ val set_injector : t -> injector option -> unit
     refunds for presumed-dropped replies) can stand down. *)
 val has_injector : t -> bool
 
-(** [send t ~src ~dst ~bytes k] delivers after the modelled latency and
-    then runs [k]. [tag] names the protocol message class for the
-    injector; untagged sends are never dropped or duplicated. Raises if
-    [src]/[dst] are out of range or [bytes] is negative. *)
-val send : ?tag:string -> t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
+(** [send_tagged t ~tag ~src ~dst ~bytes k] delivers after the modelled
+    latency and then runs [k]. [tag] names the protocol message class
+    for the injector. Raises if [src]/[dst] are out of range or [bytes]
+    is negative. *)
+val send_tagged : t -> tag:string -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
+
+(** [send] is [send_tagged ~tag:""]: an untagged send is never dropped
+    or duplicated. *)
+val send : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
 
 (** Latency in cycles that [send] would charge for this message. *)
 val latency : t -> src:int -> dst:int -> bytes:int -> int64

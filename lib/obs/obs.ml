@@ -248,10 +248,24 @@ end
 module Registry = struct
   type counter = { mutable count : int }
 
+  (* A histogram's running moments live in an all-float record, which
+     OCaml stores flat: updating them writes unboxed doubles, so
+     [observe] allocates nothing (a [Stats.Acc.t] mixes an [int] field
+     in and boxes every float it stores). The arithmetic is exactly
+     [Stats.Acc.add]'s, so [acc] and [dump] report the same values. *)
+  type moments = {
+    mutable sum : float;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable lo : float;
+    mutable hi : float;
+  }
+
   type histogram = {
     bounds : float array;
     bucket_counts : int array; (* length = Array.length bounds + 1; last is overflow *)
-    acc : Stats.Acc.t;
+    mutable n : int;
+    m : moments;
   }
 
   type instrument =
@@ -282,7 +296,8 @@ module Registry = struct
       Hashtbl.add t.instruments name (Counter c);
       c
 
-  let incr ?(by = 1) c = c.count <- c.count + by
+  let incr c = c.count <- c.count + 1
+  let add c n = c.count <- c.count + n
   let value c = c.count
 
   let gauge t name f =
@@ -303,24 +318,48 @@ module Registry = struct
         {
           bounds = Array.copy buckets;
           bucket_counts = Array.make (Array.length buckets + 1) 0;
-          acc = Stats.Acc.create ();
+          n = 0;
+          m = { sum = 0.0; mean = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity };
         }
       in
       Hashtbl.add t.instruments name (Histogram h);
       h
 
-  let observe h x =
-    let rec find i =
-      if i >= Array.length h.bounds then i
-      else if x <= h.bounds.(i) then i
-      else find (i + 1)
-    in
-    let i = find 0 in
-    h.bucket_counts.(i) <- h.bucket_counts.(i) + 1;
-    Stats.Acc.add h.acc x
+  (* Inlined into both entry points so [x] stays an unboxed double. *)
+  let[@inline] observe_unboxed h x =
+    let nb = Array.length h.bounds in
+    let i = ref 0 in
+    while !i < nb && not (x <= h.bounds.(!i)) do
+      i := !i + 1
+    done;
+    h.bucket_counts.(!i) <- h.bucket_counts.(!i) + 1;
+    let m = h.m in
+    h.n <- h.n + 1;
+    m.sum <- m.sum +. x;
+    let delta = x -. m.mean in
+    m.mean <- m.mean +. (delta /. float_of_int h.n);
+    m.m2 <- m.m2 +. (delta *. (x -. m.mean));
+    if x < m.lo then m.lo <- x;
+    if x > m.hi then m.hi <- x
 
+  let observe h x = observe_unboxed h x
+  let observe_int h v = observe_unboxed h (float_of_int v)
   let bucket_counts h = Array.copy h.bucket_counts
-  let acc h = h.acc
+
+  let acc_state h =
+    {
+      Stats.Acc.s_n = h.n;
+      s_mean = h.m.mean;
+      s_m2 = h.m.m2;
+      s_min = h.m.lo;
+      s_max = h.m.hi;
+      s_sum = h.m.sum;
+    }
+
+  let acc h =
+    let a = Stats.Acc.create () in
+    Stats.Acc.restore a (acc_state h);
+    a
 
   let names t =
     Hashtbl.fold (fun name _ acc -> name :: acc) t.instruments []
@@ -345,7 +384,7 @@ module Registry = struct
           | Counter c -> S_counter c.count
           | Gauge f -> S_gauge (f ())
           | Histogram h ->
-            S_histogram { h_buckets = Array.copy h.bucket_counts; h_acc = Stats.Acc.dump h.acc }
+            S_histogram { h_buckets = Array.copy h.bucket_counts; h_acc = acc_state h }
         in
         (name, st))
       (names t)
@@ -357,12 +396,17 @@ module Registry = struct
         | Some (Counter c), S_counter v -> c.count <- v
         | None, S_counter v -> Hashtbl.add t.instruments name (Counter { count = v })
         | (Some (Gauge _) | None), S_gauge _ -> ()
-        | Some (Histogram h), S_histogram { h_buckets; h_acc } ->
+        | Some (Histogram h), S_histogram { h_buckets; h_acc = a } ->
           if Array.length h_buckets <> Array.length h.bucket_counts then
             invalid_arg
               (Printf.sprintf "Obs.Registry.restore: histogram %s has different buckets" name);
           Array.blit h_buckets 0 h.bucket_counts 0 (Array.length h_buckets);
-          Stats.Acc.restore h.acc h_acc
+          h.n <- a.Stats.Acc.s_n;
+          h.m.sum <- a.s_sum;
+          h.m.mean <- a.s_mean;
+          h.m.m2 <- a.s_m2;
+          h.m.lo <- a.s_min;
+          h.m.hi <- a.s_max
         | Some other, _ ->
           invalid_arg
             (Printf.sprintf "Obs.Registry.restore: %s is a %s in the live registry" name
@@ -380,16 +424,15 @@ module Registry = struct
       | Counter c -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int c.count) ]
       | Gauge f -> Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Float (f ())) ]
       | Histogram h ->
-        let n = Stats.Acc.count h.acc in
-        let opt v = if n = 0 then Json.Null else Json.Float v in
+        let opt v = if h.n = 0 then Json.Null else Json.Float v in
         Json.Obj
           [
             ("type", Json.Str "histogram");
-            ("count", Json.Int n);
-            ("sum", opt (Stats.Acc.sum h.acc));
-            ("mean", opt (Stats.Acc.mean h.acc));
-            ("min", opt (Stats.Acc.min h.acc));
-            ("max", opt (Stats.Acc.max h.acc));
+            ("count", Json.Int h.n);
+            ("sum", opt h.m.sum);
+            ("mean", opt h.m.mean);
+            ("min", opt h.m.lo);
+            ("max", opt h.m.hi);
             ("bounds", Json.Arr (Array.to_list h.bounds |> List.map (fun b -> Json.Float b)));
             ( "buckets",
               Json.Arr (Array.to_list h.bucket_counts |> List.map (fun c -> Json.Int c)) );
@@ -415,30 +458,119 @@ module Trace = struct
     detail : string; (* free-form: syscall or IKC message name, counts *)
   }
 
-  type t = { capacity : int; ring : event array; mutable recorded : int }
+  (* Where a slot's detail comes from: verbatim text, or the pieces of
+     a template between its [%d] holes ([k] holes, [k + 1] pieces),
+     filled from the slot's integer arguments on read. A layout is an
+     [Ints] value built once, so storing it allocates nothing. *)
+  type layout = Text | Ints of string array
 
-  let dummy = { ts = 0L; kind = ""; op = -1; src = -1; dst = -1; detail = "" }
+  let max_holes = 3
+
+  let layout template =
+    let pieces = ref [] and start = ref 0 and i = ref 0 in
+    let n = String.length template in
+    while !i < n - 1 do
+      if template.[!i] = '%' && template.[!i + 1] = 'd' then begin
+        pieces := String.sub template !start (!i - !start) :: !pieces;
+        i := !i + 2;
+        start := !i
+      end
+      else i := !i + 1
+    done;
+    let pieces = Array.of_list (List.rev (String.sub template !start (n - !start) :: !pieces)) in
+    if Array.length pieces > max_holes + 1 then
+      invalid_arg (Printf.sprintf "Obs.Trace.layout: more than %d holes in %S" max_holes template);
+    Ints pieces
+
+  (* Struct-of-arrays ring: one column per field, so recording stores
+     immediates and pointers to existing strings and allocates nothing.
+     Unwritten slots hold the values of an empty event. *)
+  type t = {
+    capacity : int;
+    stamps : int array;
+    kinds : string array;
+    ops : int array;
+    srcs : int array;
+    dsts : int array;
+    texts : string array; (* the detail of a [Text] slot *)
+    fmts : layout array;
+    args : int array; (* [max_holes] per slot *)
+    mutable recorded : int;
+  }
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Obs.Trace.create: non-positive capacity";
-    { capacity; ring = Array.make capacity dummy; recorded = 0 }
+    {
+      capacity;
+      stamps = Array.make capacity 0;
+      kinds = Array.make capacity "";
+      ops = Array.make capacity (-1);
+      srcs = Array.make capacity (-1);
+      dsts = Array.make capacity (-1);
+      texts = Array.make capacity "";
+      fmts = Array.make capacity Text;
+      args = Array.make (capacity * max_holes) 0;
+      recorded = 0;
+    }
 
-  let record t ~ts ~kind ?(op = -1) ?(src = -1) ?(dst = -1) ?(detail = "") () =
-    t.ring.(t.recorded mod t.capacity) <- { ts; kind; op; src; dst; detail };
-    t.recorded <- t.recorded + 1
+  (* Fills the common columns and returns the slot written. *)
+  let[@inline] claim t ~ts ~kind ~op ~src ~dst =
+    let i = t.recorded mod t.capacity in
+    t.stamps.(i) <- ts;
+    t.kinds.(i) <- kind;
+    t.ops.(i) <- op;
+    t.srcs.(i) <- src;
+    t.dsts.(i) <- dst;
+    t.recorded <- t.recorded + 1;
+    i
+
+  let emit t ~ts ~kind ~op ~src ~dst detail =
+    let i = claim t ~ts ~kind ~op ~src ~dst in
+    t.texts.(i) <- detail;
+    t.fmts.(i) <- Text
+
+  let emit_ints t ~ts ~kind ~op ~src ~dst layout a b c =
+    let i = claim t ~ts ~kind ~op ~src ~dst in
+    t.fmts.(i) <- layout;
+    let j = i * max_holes in
+    t.args.(j) <- a;
+    t.args.(j + 1) <- b;
+    t.args.(j + 2) <- c
 
   let recorded t = t.recorded
   let dropped t = Stdlib.max 0 (t.recorded - t.capacity)
 
-  let events t =
-    let kept = Stdlib.min t.recorded t.capacity in
-    let first = t.recorded - kept in
-    List.init kept (fun i -> t.ring.((first + i) mod t.capacity))
+  let render_detail t i =
+    match t.fmts.(i) with
+    | Text -> t.texts.(i)
+    | Ints pieces ->
+      let buf = Buffer.create 32 in
+      Array.iteri
+        (fun k piece ->
+          if k > 0 then Buffer.add_string buf (string_of_int t.args.((i * max_holes) + k - 1));
+          Buffer.add_string buf piece)
+        pieces;
+      Buffer.contents buf
 
-  let tail t ~n =
-    let evs = events t in
-    let len = List.length evs in
-    if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs
+  let event_at t i =
+    {
+      ts = Int64.of_int t.stamps.(i);
+      kind = t.kinds.(i);
+      op = t.ops.(i);
+      src = t.srcs.(i);
+      dst = t.dsts.(i);
+      detail = render_detail t i;
+    }
+
+  (* The last [n] retained events, oldest first, read straight from
+     their slots. *)
+  let last t n =
+    let n = Stdlib.max 0 (Stdlib.min n (Stdlib.min t.recorded t.capacity)) in
+    let first = t.recorded - n in
+    List.init n (fun k -> event_at t ((first + k) mod t.capacity))
+
+  let events t = last t t.capacity
+  let tail t ~n = last t n
 
   let event_json e =
     Json.Obj
@@ -460,13 +592,25 @@ module Trace = struct
       (events t);
     Buffer.contents buf
 
+  (* The checkpoint image keeps the slot-for-slot [event] array it has
+     always had, details rendered, so fingerprints do not depend on how
+     the live ring stores them. *)
   type state = { st_ring : event array; st_recorded : int }
 
-  let dump t = { st_ring = Array.copy t.ring; st_recorded = t.recorded }
+  let dump t = { st_ring = Array.init t.capacity (event_at t); st_recorded = t.recorded }
 
   let restore t s =
     if Array.length s.st_ring <> t.capacity then
       invalid_arg "Obs.Trace.restore: ring capacity does not match the snapshot";
-    Array.blit s.st_ring 0 t.ring 0 t.capacity;
+    Array.iteri
+      (fun i e ->
+        t.stamps.(i) <- Int64.to_int e.ts;
+        t.kinds.(i) <- e.kind;
+        t.ops.(i) <- e.op;
+        t.srcs.(i) <- e.src;
+        t.dsts.(i) <- e.dst;
+        t.texts.(i) <- e.detail;
+        t.fmts.(i) <- Text)
+      s.st_ring;
     t.recorded <- s.st_recorded
 end

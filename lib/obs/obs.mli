@@ -39,7 +39,11 @@ module Registry : sig
   val create : unit -> t
 
   val counter : t -> string -> counter
-  val incr : ?by:int -> counter -> unit
+  val incr : counter -> unit
+
+  (** [add c n] adds [n] to [c]. *)
+  val add : counter -> int -> unit
+
   val value : counter -> int
 
   (** [gauge t name f] registers [f] to be sampled at snapshot time.
@@ -50,8 +54,17 @@ module Registry : sig
       increasing order; an implicit overflow bucket is appended. *)
   val histogram : t -> string -> buckets:float array -> histogram
 
+  (** [observe] and [observe_int] allocate nothing: a handle resolved
+      once with [histogram] can sit on a per-event path. *)
   val observe : histogram -> float -> unit
+
+  (** [observe_int h v] is [observe h (float_of_int v)] without boxing
+      the float. *)
+  val observe_int : histogram -> int -> unit
+
   val bucket_counts : histogram -> int array
+
+  (** A fresh accumulator holding the histogram's running moments. *)
   val acc : histogram -> Semper_util.Stats.Acc.t
 
   (** Registered instrument names, sorted. *)
@@ -80,7 +93,10 @@ module Registry : sig
 end
 
 (** Bounded ring buffer of trace events, ordered by insertion (which,
-    in the simulator, is sim-clock order). *)
+    in the simulator, is sim-clock order). Recording allocates nothing:
+    the ring stores each field in its own column, and a structured
+    detail is kept as integers plus a {!layout} and rendered to text
+    only when the ring is read ([events], [tail], [to_jsonl], [dump]). *)
 module Trace : sig
   type event = {
     ts : int64;
@@ -96,8 +112,24 @@ module Trace : sig
   (** Raises [Invalid_argument] on a non-positive capacity. *)
   val create : capacity:int -> t
 
-  val record :
-    t -> ts:int64 -> kind:string -> ?op:int -> ?src:int -> ?dst:int -> ?detail:string -> unit -> unit
+  (** [emit t ~ts ~kind ~op ~src ~dst detail] records one event with a
+      text detail ([ts] in cycles; [-1] marks an absent id). *)
+  val emit : t -> ts:int -> kind:string -> op:int -> src:int -> dst:int -> string -> unit
+
+  (** The static text of a structured detail: a template whose [%d]
+      holes (at most three) take integers, e.g.
+      [layout "marked=%d remote_msgs=%d"]. Build it once. *)
+  type layout
+
+  (** Raises [Invalid_argument] on more than three holes. *)
+  val layout : string -> layout
+
+  (** [emit_ints t ~ts ~kind ~op ~src ~dst l a b c] records an event
+      whose detail is [l] with its holes filled by [a], [b], [c] in
+      order (unused arguments are ignored); it reads exactly as
+      [Printf.sprintf] of the same template would. *)
+  val emit_ints :
+    t -> ts:int -> kind:string -> op:int -> src:int -> dst:int -> layout -> int -> int -> int -> unit
 
   (** Total events ever recorded (including overwritten ones). *)
   val recorded : t -> int
@@ -108,7 +140,8 @@ module Trace : sig
   (** Retained events, oldest first. *)
   val events : t -> event list
 
-  (** Last [n] retained events, oldest first. *)
+  (** Last [n] retained events, oldest first; reads only those [n]
+      slots. *)
   val tail : t -> n:int -> event list
 
   val event_json : event -> Json.t

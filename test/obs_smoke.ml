@@ -8,9 +8,16 @@
    3. the trace must contain the span kinds the protocols are required
       to emit;
    4. a second identically-seeded run must produce byte-identical
-      snapshot and trace. *)
+      snapshot and trace;
+   5. both must match the committed digests below, so output that
+      drifts between builds fails too, not only output that differs
+      between two runs of one build. A deliberate change to the
+      snapshot or trace text re-records them. *)
 
 open Semperos
+
+let golden_stats_md5 = "63d03015d9795b9ef2307300667fcff1"
+let golden_trace_md5 = "55ea37edc14fb6918409f545b02c9952"
 
 let failed = ref false
 
@@ -69,6 +76,9 @@ let () =
   let stats2, trace2 = run_workload () in
   check "snapshot deterministic" (String.equal stats stats2);
   check "trace deterministic" (String.equal trace trace2);
+  let md5 s = Digest.to_hex (Digest.string s) in
+  check "snapshot matches the recorded digest" (String.equal (md5 stats) golden_stats_md5);
+  check "trace matches the recorded digest" (String.equal (md5 trace) golden_trace_md5);
   Printf.printf "obs-smoke: %d trace events, %d bytes of metrics\n" (List.length lines)
     (String.length stats);
   if !failed then exit 1;

@@ -196,6 +196,21 @@ let test_fingerprint_equal_then_divergent () =
   check Alcotest.bool "divergent histories fingerprint apart" false
     (String.equal (System.fingerprint sys1) (System.fingerprint sys2))
 
+(* [name]'s observation count in the system's registry snapshot. *)
+let histogram_count sys name =
+  match Obs.Registry.snapshot (System.obs sys) with
+  | Obs.Json.Obj instruments -> (
+    match List.assoc_opt name instruments with
+    | Some (Obs.Json.Obj fields) -> (
+      match List.assoc_opt "count" fields with Some (Obs.Json.Int n) -> n | _ -> -1)
+    | _ -> -1)
+  | _ -> -1
+
+let alloc_mem sys v =
+  match System.syscall_sync sys v (Protocol.Sys_alloc_mem { size = 64L; perms = Perms.rw }) with
+  | Protocol.R_sel _ -> ()
+  | r -> Alcotest.failf "alloc: %a" Protocol.pp_reply r
+
 let test_system_snapshot_restore_in_place () =
   let sys, a, b, sel = boot () in
   let snap = System.snapshot sys in
@@ -203,6 +218,13 @@ let test_system_snapshot_restore_in_place () =
   (* restoring onto the matching state is the identity *)
   System.restore sys snap;
   check Alcotest.string "restore onto itself is the identity" fp (System.fingerprint sys);
+  (* the kernel resolved its latency histogram before the snapshot; the
+     handle it holds must still feed the restored registry *)
+  let lat = "kernel0.syscall_latency.alloc_mem" in
+  let before = histogram_count sys lat in
+  alloc_mem sys a;
+  check Alcotest.int "syscall after restore reaches the registry" (before + 1)
+    (histogram_count sys lat);
   (* snapshots are closure-free summaries: once the closure-bearing
      control planes moved on, an in-place restore is refused rather
      than silently wrong — rewinding goes through a whole-image
@@ -349,7 +371,16 @@ let test_midhandoff_snapshot_restores_frozen_vpe () =
   ignore (System.run r.hr_sys);
   assert_settled "original" r;
   check Alcotest.string "drained states are byte-identical"
-    (System.fingerprint r.hr_sys) (System.fingerprint copy.hr_sys)
+    (System.fingerprint r.hr_sys) (System.fingerprint copy.hr_sys);
+  (* the copy's kernels hold histogram handles unmarshalled with its
+     registry: a syscall after the resume lands there, not in the
+     original's *)
+  let lat = "kernel0.syscall_latency.alloc_mem" in
+  let before = histogram_count r.hr_sys lat in
+  alloc_mem copy.hr_sys copy.hr_a;
+  check Alcotest.int "resumed syscall reaches the copy's registry" (before + 1)
+    (histogram_count copy.hr_sys lat);
+  check Alcotest.int "original registry untouched" before (histogram_count r.hr_sys lat)
 
 let test_midhandoff_parked_revoke_completes_after_resume () =
   let r = handoff_boot () in

@@ -106,7 +106,7 @@ let test_fabric_injector_drop () =
   Fabric.set_injector f (Some (fun ~src:_ ~dst:_ ~tag ~now:_ ~arrival ->
       if tag = "" then [ Some arrival ] else []));
   let tagged = ref 0 and untagged = ref 0 in
-  Fabric.send f ~tag:"obtain_req" ~src:0 ~dst:15 ~bytes:64 (fun () -> incr tagged);
+  Fabric.send_tagged f ~tag:"obtain_req" ~src:0 ~dst:15 ~bytes:64 (fun () -> incr tagged);
   Fabric.send f ~src:0 ~dst:15 ~bytes:64 (fun () -> incr untagged);
   ignore (Engine.run e);
   check Alcotest.int "tagged message dropped" 0 !tagged;
@@ -120,7 +120,7 @@ let test_fabric_injector_duplicate () =
   Fabric.set_injector f (Some (fun ~src:_ ~dst:_ ~tag:_ ~now:_ ~arrival ->
       [ Some arrival; Some (Int64.add arrival 100L) ]));
   let deliveries = ref [] in
-  Fabric.send f ~tag:"revoke_req" ~src:0 ~dst:1 ~bytes:0 (fun () ->
+  Fabric.send_tagged f ~tag:"revoke_req" ~src:0 ~dst:1 ~bytes:0 (fun () ->
       deliveries := Engine.now e :: !deliveries);
   ignore (Engine.run e);
   let base = Fabric.latency f ~src:0 ~dst:1 ~bytes:0 in
@@ -138,7 +138,7 @@ let test_fabric_partial_drop () =
   Fabric.set_injector f (Some (fun ~src:_ ~dst:_ ~tag:_ ~now:_ ~arrival ->
       [ Some arrival; None ]));
   let deliveries = ref 0 in
-  Fabric.send f ~tag:"revoke_req" ~src:0 ~dst:1 ~bytes:0 (fun () -> incr deliveries);
+  Fabric.send_tagged f ~tag:"revoke_req" ~src:0 ~dst:1 ~bytes:0 (fun () -> incr deliveries);
   ignore (Engine.run e);
   check Alcotest.int "one offered" 1 (Fabric.messages f);
   check Alcotest.int "one delivered" 1 (Fabric.messages_delivered f);
@@ -146,7 +146,7 @@ let test_fabric_partial_drop () =
   check Alcotest.int "partial drop counted" 1 (Fabric.dropped f);
   (* Dropping every copy of a duplicated message counts each copy. *)
   Fabric.set_injector f (Some (fun ~src:_ ~dst:_ ~tag:_ ~now:_ ~arrival:_ -> [ None; None ]));
-  Fabric.send f ~tag:"revoke_req" ~src:0 ~dst:1 ~bytes:0 (fun () -> incr deliveries);
+  Fabric.send_tagged f ~tag:"revoke_req" ~src:0 ~dst:1 ~bytes:0 (fun () -> incr deliveries);
   ignore (Engine.run e);
   check Alcotest.int "both copies dropped" 3 (Fabric.dropped f);
   check Alcotest.int "no extra delivery" 1 !deliveries
@@ -162,8 +162,8 @@ let test_fabric_injector_fifo_clamp () =
       incr calls;
       if !calls = 1 then [ Some (Int64.add arrival 5_000L) ] else [ Some 0L ]));
   let log = ref [] in
-  Fabric.send f ~tag:"a" ~src:0 ~dst:15 ~bytes:0 (fun () -> log := "first" :: !log);
-  Fabric.send f ~tag:"b" ~src:0 ~dst:15 ~bytes:0 (fun () -> log := "second" :: !log);
+  Fabric.send_tagged f ~tag:"a" ~src:0 ~dst:15 ~bytes:0 (fun () -> log := "first" :: !log);
+  Fabric.send_tagged f ~tag:"b" ~src:0 ~dst:15 ~bytes:0 (fun () -> log := "second" :: !log);
   ignore (Engine.run e);
   check Alcotest.(list string) "FIFO survives injection" [ "first"; "second" ] (List.rev !log)
 

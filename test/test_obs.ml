@@ -67,7 +67,7 @@ let test_registry_counters () =
   let r = Obs.Registry.create () in
   let c = Obs.Registry.counter r "a.hits" in
   Obs.Registry.incr c;
-  Obs.Registry.incr ~by:4 c;
+  Obs.Registry.add c 4;
   check Alcotest.int "counter value" 5 (Obs.Registry.value c);
   (* Get-or-create: the same name yields the same instrument. *)
   let c' = Obs.Registry.counter r "a.hits" in
@@ -90,7 +90,17 @@ let test_histogram_bucket_edges () =
   check Alcotest.(array int) "bucket counts (<=10, <=20, overflow)" [| 2; 2; 2 |]
     (Obs.Registry.bucket_counts h);
   let acc = Obs.Registry.acc h in
-  check Alcotest.int "count" 6 (Stats.Acc.count acc)
+  check Alcotest.int "count" 6 (Stats.Acc.count acc);
+  (* [observe_int] is [observe] of the same value, moment for moment. *)
+  let hf = Obs.Registry.histogram r "f" ~buckets:[| 5.0; 50.0 |] in
+  let hi = Obs.Registry.histogram r "i" ~buckets:[| 5.0; 50.0 |] in
+  List.iter
+    (fun v ->
+      Obs.Registry.observe hf (float_of_int v);
+      Obs.Registry.observe_int hi v)
+    [ 3; 5; 6; 49; 50; 51; 1_000_000; 0; -7 ];
+  let state name = List.assoc name (Obs.Registry.dump r) in
+  check Alcotest.bool "observe_int = observe" true (state "f" = state "i")
 
 let test_empty_histogram_snapshot () =
   let r = Obs.Registry.create () in
@@ -113,10 +123,71 @@ let test_gauge_replacement () =
 (* ------------------------------------------------------------------ *)
 (* Trace ring buffer                                                   *)
 
+(* Random text and structured events against a list of every event
+   recorded, across several wraparounds and dump/restore round-trips. *)
+let check_ring_model () =
+  let lines evs = List.map (fun e -> Obs.Json.to_string (Obs.Trace.event_json e)) evs in
+  let layout_pes = Obs.Trace.layout "pes=%d vpes=%d caps=%d" in
+  let cap = 5 in
+  let t = Obs.Trace.create ~capacity:cap in
+  let model = ref [] in
+  let rng = Random.State.make [| 7 |] in
+  let check_against_model what t =
+    let all = List.rev !model in
+    let len = List.length all in
+    let last n = List.filteri (fun i _ -> i >= len - n) all in
+    check Alcotest.int (what ^ ": recorded") len (Obs.Trace.recorded t);
+    check Alcotest.int (what ^ ": dropped") (max 0 (len - cap)) (Obs.Trace.dropped t);
+    check
+      Alcotest.(list string)
+      (what ^ ": events")
+      (lines (last (min len cap)))
+      (lines (Obs.Trace.events t));
+    for n = -1 to cap + 2 do
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "%s: tail %d" what n)
+        (lines (last (max 0 (min n (min len cap)))))
+        (lines (Obs.Trace.tail t ~n))
+    done
+  in
+  for i = 1 to 23 do
+    let ts = Int64.of_int (i * 10) and op = Random.State.int rng 100 - 1 in
+    let e =
+      if Random.State.bool rng then begin
+        let detail = if i mod 3 = 0 then "" else Printf.sprintf "d%d" i in
+        Obs.Trace.emit t ~ts:(Int64.to_int ts) ~kind:"text" ~op ~src:i ~dst:(-1) detail;
+        { Obs.Trace.ts; kind = "text"; op; src = i; dst = -1; detail }
+      end
+      else begin
+        let a = Random.State.int rng 50 and b = -i and c = i * 1000 in
+        Obs.Trace.emit_ints t ~ts:(Int64.to_int ts) ~kind:"ints" ~op ~src:(-1) ~dst:i layout_pes
+          a b c;
+        { Obs.Trace.ts; kind = "ints"; op; src = -1; dst = i;
+          detail = Printf.sprintf "pes=%d vpes=%d caps=%d" a b c }
+      end
+    in
+    model := e :: !model;
+    check_against_model (Printf.sprintf "after %d" i) t;
+    (* A dump restored into a fresh ring reads back the same and keeps
+       recording in step with the original. *)
+    if i mod 4 = 0 then begin
+      let copy = Obs.Trace.create ~capacity:cap in
+      Obs.Trace.restore copy (Obs.Trace.dump t);
+      check_against_model (Printf.sprintf "restored after %d" i) copy;
+      check Alcotest.string "restored JSONL" (Obs.Trace.to_jsonl t) (Obs.Trace.to_jsonl copy);
+      Obs.Trace.emit copy ~ts:0 ~kind:"x" ~op:0 ~src:0 ~dst:0 "";
+      Obs.Trace.emit t ~ts:0 ~kind:"x" ~op:0 ~src:0 ~dst:0 "";
+      model := { Obs.Trace.ts = 0L; kind = "x"; op = 0; src = 0; dst = 0; detail = "" } :: !model;
+      check_against_model "copy continues" copy;
+      check_against_model "original continues" t
+    end
+  done
+
 let test_trace_wraparound () =
   let t = Obs.Trace.create ~capacity:4 in
   for i = 1 to 10 do
-    Obs.Trace.record t ~ts:(Int64.of_int i) ~kind:"e" ~op:i ()
+    Obs.Trace.emit t ~ts:i ~kind:"e" ~op:i ~src:(-1) ~dst:(-1) ""
   done;
   check Alcotest.int "recorded counts everything" 10 (Obs.Trace.recorded t);
   check Alcotest.int "dropped = recorded - capacity" 6 (Obs.Trace.dropped t);
@@ -125,12 +196,13 @@ let test_trace_wraparound () =
   check Alcotest.(list int) "tail" [ 9; 10 ]
     (List.map (fun e -> e.Obs.Trace.op) (Obs.Trace.tail t ~n:2));
   (* A tail longer than the retained window is just the window. *)
-  check Alcotest.int "oversized tail clamps" 4 (List.length (Obs.Trace.tail t ~n:100))
+  check Alcotest.int "oversized tail clamps" 4 (List.length (Obs.Trace.tail t ~n:100));
+  check_ring_model ()
 
 let test_trace_jsonl () =
   let t = Obs.Trace.create ~capacity:8 in
-  Obs.Trace.record t ~ts:5L ~kind:"syscall_enter" ~op:1 ~src:0 ~dst:2 ~detail:"alloc" ();
-  Obs.Trace.record t ~ts:9L ~kind:"ikc_send" ();
+  Obs.Trace.emit t ~ts:5 ~kind:"syscall_enter" ~op:1 ~src:0 ~dst:2 "alloc";
+  Obs.Trace.emit t ~ts:9 ~kind:"ikc_send" ~op:(-1) ~src:(-1) ~dst:(-1) "";
   let lines = String.split_on_char '\n' (String.trim (Obs.Trace.to_jsonl t)) in
   check Alcotest.int "one line per event" 2 (List.length lines);
   List.iter
@@ -138,7 +210,64 @@ let test_trace_jsonl () =
       match Obs.Json.parse line with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "invalid JSONL line %s: %s" line e)
-    lines
+    lines;
+  (* A structured detail renders to exactly the text [Printf.sprintf]
+     builds from the same template. *)
+  List.iter
+    (fun (template, a, b, c, printed) ->
+      let t = Obs.Trace.create ~capacity:2 in
+      Obs.Trace.emit_ints t ~ts:1 ~kind:"revoke_mark" ~op:2 ~src:0 ~dst:(-1)
+        (Obs.Trace.layout template) a b c;
+      check Alcotest.string template
+        (Printf.sprintf
+           {|{"ts":1,"kind":"revoke_mark","op":2,"src":0,"dst":-1,"detail":"%s"}|} printed
+         ^ "\n")
+        (Obs.Trace.to_jsonl t))
+    [
+      ("marked=%d remote_msgs=%d", 1, 1, 0, Printf.sprintf "marked=%d remote_msgs=%d" 1 1);
+      ("absorbed=%d marked=%d", 0, 4096, 0, Printf.sprintf "absorbed=%d marked=%d" 0 4096);
+      ("deleted=%d", 37, 0, 0, Printf.sprintf "deleted=%d" 37);
+      ("vpe%d caps=%d", 12, -3, 0, Printf.sprintf "vpe%d caps=%d" 12 (-3));
+      ("vpe%d", max_int, 0, 0, Printf.sprintf "vpe%d" max_int);
+      ("pes=%d vpes=%d caps=%d", 2, 3, min_int, Printf.sprintf "pes=%d vpes=%d caps=%d" 2 3 min_int);
+    ];
+  Alcotest.check_raises "four holes"
+    (Invalid_argument "Obs.Trace.layout: more than 3 holes in \"%d%d%d%d\"")
+    (fun () -> ignore (Obs.Trace.layout "%d%d%d%d"))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation-free recording                                           *)
+
+(* Minor-heap words allocated by [n] calls of [f]; [Gc.minor_words] is
+   read unboxed, so the measurement itself allocates nothing. *)
+let minor_words_of n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  Gc.minor_words () -. before
+
+let check_no_alloc what f =
+  check (Alcotest.float 0.0) (what ^ ": minor words over 10K calls") 0.0 (minor_words_of 10_000 f)
+
+let layout_mark = Obs.Trace.layout "marked=%d remote_msgs=%d"
+
+let test_recording_no_alloc () =
+  let t = Obs.Trace.create ~capacity:64 in
+  check_no_alloc "text event" (fun i ->
+      Obs.Trace.emit t ~ts:i ~kind:"ikc_send" ~op:i ~src:0 ~dst:1 "obtain_req");
+  check_no_alloc "structured event" (fun i ->
+      Obs.Trace.emit_ints t ~ts:i ~kind:"revoke_mark" ~op:i ~src:0 ~dst:(-1) layout_mark i (i + 1) 0);
+  check Alcotest.int "all recorded" 20_000 (Obs.Trace.recorded t);
+  let r = Obs.Registry.create () in
+  let c = Obs.Registry.counter r "c" in
+  check_no_alloc "counter add" (fun i -> Obs.Registry.add c i);
+  check_no_alloc "counter incr" (fun _ -> Obs.Registry.incr c);
+  let h = Obs.Registry.histogram r "h" ~buckets:[| 10.0; 100.0 |] in
+  let x = 42.5 in
+  check_no_alloc "histogram observe" (fun _ -> Obs.Registry.observe h x);
+  check_no_alloc "histogram observe_int" (fun i -> Obs.Registry.observe_int h i);
+  check Alcotest.int "observations counted" 20_000 (Stats.Acc.count (Obs.Registry.acc h))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism                                              *)
@@ -146,7 +275,7 @@ let test_trace_jsonl () =
 (* Two identically-configured runs must produce byte-identical metric
    snapshots and trace buffers: everything is driven by the sim clock
    and seeded RNGs, never by host time. *)
-let run_fixed_workload () =
+let fixed_system () =
   let sys = System.create (System.config ~kernels:2 ~user_pes_per_kernel:3 ()) in
   let a = System.spawn_vpe sys ~kernel:0 in
   let b = System.spawn_vpe sys ~kernel:1 in
@@ -160,6 +289,10 @@ let run_fixed_workload () =
     (System.syscall_sync sys b (Protocol.Sys_obtain_from { donor_vpe = a.Vpe.id; donor_sel = sel }));
   ignore (System.syscall_sync sys a (Protocol.Sys_revoke { sel; own = true }));
   ignore (System.run sys);
+  sys
+
+let run_fixed_workload () =
+  let sys = fixed_system () in
   ( Obs.Json.to_string (Obs.Registry.snapshot (System.obs sys)),
     Obs.Trace.to_jsonl (System.trace_buffer sys) )
 
@@ -173,11 +306,26 @@ let test_snapshot_determinism () =
   | Error e -> Alcotest.failf "system snapshot invalid JSON: %s" e
 
 let test_trace_records_protocol () =
-  let _, jsonl = run_fixed_workload () in
+  let sys = fixed_system () in
+  let jsonl = Obs.Trace.to_jsonl (System.trace_buffer sys) in
   let has kind = contains jsonl (Printf.sprintf "\"kind\":\"%s\"" kind) in
   List.iter
     (fun kind -> check Alcotest.bool kind true (has kind))
-    [ "syscall_enter"; "syscall_exit"; "ikc_send"; "ikc_recv"; "revoke_mark"; "revoke_sweep" ]
+    [ "syscall_enter"; "syscall_exit"; "ikc_send"; "ikc_recv"; "revoke_mark"; "revoke_sweep" ];
+  (* Committed golden values: the rendered revoke events and the
+     checkpoint fingerprint must not move with how the ring stores
+     them. *)
+  check
+    Alcotest.(list string)
+    "revoke events"
+    [
+      {|{"ts":21744,"kind":"revoke_mark","op":2,"src":0,"dst":-1,"detail":"marked=1 remote_msgs=1"}|};
+      {|{"ts":23152,"kind":"revoke_mark","op":16777218,"src":1,"dst":-1,"detail":"marked=1 remote_msgs=0"}|};
+      {|{"ts":23382,"kind":"revoke_sweep","op":16777218,"src":1,"dst":-1,"detail":"deleted=1"}|};
+      {|{"ts":24285,"kind":"revoke_sweep","op":2,"src":0,"dst":-1,"detail":"deleted=1"}|};
+    ]
+    (List.filter (fun l -> contains l "\"kind\":\"revoke_") (String.split_on_char '\n' jsonl));
+  check Alcotest.string "fingerprint" "0f85efbd809ec3aa5bd80b2b65e436dc" (System.fingerprint sys)
 
 (* The load balancer's occupancy inputs must be exported for every
    kernel unconditionally — `semperos_cli stats` shows them whether or
@@ -218,6 +366,7 @@ let suite =
     Alcotest.test_case "gauge replacement" `Quick test_gauge_replacement;
     Alcotest.test_case "trace ring wraparound" `Quick test_trace_wraparound;
     Alcotest.test_case "trace JSONL" `Quick test_trace_jsonl;
+    Alcotest.test_case "recording allocates nothing" `Quick test_recording_no_alloc;
     Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
     Alcotest.test_case "trace records protocol spans" `Quick test_trace_records_protocol;
     Alcotest.test_case "occupancy instruments exported" `Quick test_occupancy_instruments_exported;
