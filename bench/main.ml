@@ -88,7 +88,7 @@ let bechamel () =
 let usage () =
   prerr_endline
     "usage: main.exe [--jobs N] \
-     [table3|fig4|fig5|table4|fig6|fig7|fig8|fig9|fig10|ablations|json|bechamel|wallclock|batch|scale|engine|all]";
+     [table3|fig4|fig5|table4|fig6|fig7|fig8|fig9|fig10|ablations|json|bechamel|wallclock|batch|scale|all]";
   prerr_endline
     "  --jobs N, -j N   run independent experiment points on N domains (default: cores; 1 = serial)";
   exit 2
@@ -138,8 +138,6 @@ let () =
       ("batch", fun () -> Semper_harness.Batchbench.run ());
       (* Host-dependent like wallclock, so also outside [all]. *)
       ("scale", fun () -> Semper_harness.Scale.run ());
-      (* Host-dependent: heap-vs-wheel queue-backend throughput. *)
-      ("engine", fun () -> Semper_harness.Enginebench.run ());
       ("all", fun () -> Experiments.all (); bechamel ());
     ]
   in

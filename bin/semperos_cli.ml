@@ -608,23 +608,16 @@ let bench_cmd =
     | "scale" ->
       let preset = if smoke then Semper_harness.Scale.Smoke else Semper_harness.Scale.Full in
       Semper_harness.Scale.run ~preset ?path:out ()
-    | "engine" ->
-      let preset =
-        if smoke then Semper_harness.Enginebench.Smoke else Semper_harness.Enginebench.Full
-      in
-      Semper_harness.Enginebench.run ~preset ?path:out ()
     | m ->
       Fmt.epr
-        "error: unknown bench mode %S (expected: wallclock, balance, fleet, batch, scale, or \
-         engine)@."
-        m;
+        "error: unknown bench mode %S (expected: wallclock, balance, fleet, batch, or scale)@." m;
       exit 2
   in
   let mode =
     Arg.(value & pos 0 string "wallclock" & info [] ~docv:"MODE"
          ~doc:
-           "Benchmark mode: $(b,wallclock), $(b,balance), $(b,fleet), $(b,batch), $(b,scale), \
-            or $(b,engine).")
+           "Benchmark mode: $(b,wallclock), $(b,balance), $(b,fleet), $(b,batch), or \
+            $(b,scale).")
   in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
@@ -645,9 +638,7 @@ let bench_cmd =
           back, with per-transition safety checks. $(b,batch) runs every workload with IKC batching off \
           and on (BENCH_batch.json); both are deterministic. $(b,scale) measures throughput, \
           heap, GC, and audit cost at 1K/2K/4K PEs (BENCH_scale.json; host-dependent like \
-          wallclock). $(b,engine) measures schedule/cancel/drain throughput of the two event-queue \
-          backends, binary heap versus timer wheel, at 1K-1M pending events (BENCH_engine.json; \
-          host-dependent).")
+          wallclock).")
     Term.(const run $ mode $ smoke $ out)
 
 let nginx_cmd =

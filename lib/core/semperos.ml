@@ -37,7 +37,6 @@ module Engine = Semper_sim.Engine
 module Server = Semper_sim.Server
 module Checkpoint = Semper_sim.Checkpoint
 module Domain_pool = Semper_util.Domain_pool
-module Heap = Semper_util.Heap
 module Rng = Semper_util.Rng
 module Stats = Semper_util.Stats
 module Table = Semper_util.Table
@@ -81,7 +80,6 @@ module Bench_json = Semper_harness.Bench_json
 module Wallclock = Semper_harness.Wallclock
 module Batchbench = Semper_harness.Batchbench
 module Scale = Semper_harness.Scale
-module Enginebench = Semper_harness.Enginebench
 module Balance = Semper_balance.Balance
 module Fleet = Semper_fleet.Fleet
 module Skew = Semper_harness.Skew

@@ -110,8 +110,7 @@ let shapes =
             ( "workloads",
               [
                 "name"; "wall_s"; "events_processed"; "events_per_s"; "events_cancelled";
-                "events_skipped"; "heap_peak"; "gc_minor_collections"; "gc_major_collections";
-                "gc_promoted_words";
+                "heap_peak"; "gc_minor_collections"; "gc_major_collections"; "gc_promoted_words";
               ] );
           ];
       } );
@@ -144,11 +143,6 @@ let shapes =
                 "audit_full_s"; "audit_incremental_s";
               ] );
           ];
-      } );
-    ( "semperos-engine-1",
-      {
-        sh_top = [ "samples" ];
-        sh_rows = [ ("samples", [ "backend"; "op"; "pending"; "wall_s"; "ops_per_s" ]) ];
       } );
     ( "BENCH_micro.json",
       {

@@ -64,7 +64,7 @@ let points_of_preset = function
    client sessions (ROADMAP item 3's ~1M-session frontier). Arrival
    times come from a fixed-seed exponential trace generated up front
    and are scheduled before the run starts, so the engine begins with
-   [s_sessions] pending events — the regime where the heap paid
+   [s_sessions] pending events — the regime where a binary heap pays
    O(log n) per hop and the wheel pays O(1). *)
 type session_point = {
   s_name : string;

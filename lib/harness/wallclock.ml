@@ -10,7 +10,6 @@ type sample = {
   s_events : int;
   s_events_per_s : float;
   s_cancelled : int;
-  s_skipped : int;
   s_heap_peak : int;
   s_minor_collections : int;
   s_major_collections : int;
@@ -89,7 +88,6 @@ let workloads_of_preset = function
 let measure (name, f) =
   let p0 = Engine.Totals.processed () in
   let c0 = Engine.Totals.cancelled () in
-  let s0 = Engine.Totals.skipped () in
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   f ();
@@ -102,7 +100,6 @@ let measure (name, f) =
     s_events = events;
     s_events_per_s = (if wall > 0.0 then float_of_int events /. wall else 0.0);
     s_cancelled = Engine.Totals.cancelled () - c0;
-    s_skipped = Engine.Totals.skipped () - s0;
     s_heap_peak = Engine.Totals.heap_peak ();
     s_minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
     s_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
@@ -119,7 +116,6 @@ let sample_json s =
       ("events_processed", Obs.Json.Int s.s_events);
       ("events_per_s", Obs.Json.Float s.s_events_per_s);
       ("events_cancelled", Obs.Json.Int s.s_cancelled);
-      ("events_skipped", Obs.Json.Int s.s_skipped);
       ("heap_peak", Obs.Json.Int s.s_heap_peak);
       ("gc_minor_collections", Obs.Json.Int s.s_minor_collections);
       ("gc_major_collections", Obs.Json.Int s.s_major_collections);
@@ -138,7 +134,7 @@ let print samples =
   T.print ~title:"Wall-clock throughput of the simulator core (host-dependent)"
     ~header:
       [
-        "workload"; "wall_s"; "events"; "events/s"; "cancelled"; "skipped"; "heap_peak";
+        "workload"; "wall_s"; "events"; "events/s"; "cancelled"; "heap_peak";
         "gc_minor"; "gc_major"; "promoted_w";
       ]
     (List.map
@@ -149,7 +145,6 @@ let print samples =
            string_of_int s.s_events;
            Printf.sprintf "%.0f" s.s_events_per_s;
            string_of_int s.s_cancelled;
-           string_of_int s.s_skipped;
            string_of_int s.s_heap_peak;
            string_of_int s.s_minor_collections;
            string_of_int s.s_major_collections;

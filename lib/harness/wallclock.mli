@@ -16,7 +16,6 @@ type sample = {
   s_events : int;  (** events executed by the engines of this workload *)
   s_events_per_s : float;
   s_cancelled : int;
-  s_skipped : int;
   s_heap_peak : int;
       (** process-wide monotone high-water mark as of the end of this
           workload, not a per-workload delta *)

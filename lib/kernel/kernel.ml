@@ -190,7 +190,7 @@ type remote_state = R_in_progress | R_done of { dst : int; msg : P.ikc }
    [rattempts] feed the per-op latency and retry histograms. [rtimer]
    is the pending retransmission tick, cancelled when the reply
    arrives — otherwise every successfully-acked message would leave a
-   dead event on the engine heap until its timeout expired. *)
+   dead event in the engine queue until its timeout expired. *)
 type retry_state = {
   rdst : int;
   rmsg : P.ikc;
@@ -2646,7 +2646,7 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
                go out in kernel-id order — table iteration order must
                not leak into the message schedule. The tick is a
                cancellable timer (cancelled when the last ack lands),
-               so a fault-free migration leaves nothing on the heap. *)
+               so a fault-free migration leaves nothing queued. *)
             if (c t).Cost.retry_max > 0 then begin
               let rec tick attempts () =
                 match Hashtbl.find_opt t.pending_ops op with

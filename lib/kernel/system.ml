@@ -22,7 +22,6 @@ type config = {
   fault : Fault.profile option;
   retry : bool;
   trace_capacity : int;
-  engine_queue : Engine.queue_kind;
 }
 
 let default_config =
@@ -37,13 +36,11 @@ let default_config =
     fault = None;
     retry = true;
     trace_capacity = 8192;
-    engine_queue = Engine.Timer_wheel;
   }
 
 let config ?(kernels = 2) ?(spare_kernels = 0) ?(user_pes_per_kernel = 8)
     ?(mode = Cost.Semperos) ?(noc = Fabric.default_config) ?(batching = false)
-    ?(broadcast = false) ?fault ?(retry = true) ?(trace_capacity = 8192)
-    ?(engine_queue = Engine.Timer_wheel) () =
+    ?(broadcast = false) ?fault ?(retry = true) ?(trace_capacity = 8192) () =
   {
     kernels;
     spare_kernels;
@@ -55,7 +52,6 @@ let config ?(kernels = 2) ?(spare_kernels = 0) ?(user_pes_per_kernel = 8)
     fault;
     retry;
     trace_capacity;
-    engine_queue;
   }
 
 type group = { kernel_pe : int; free : int Queue.t }
@@ -133,7 +129,7 @@ let create cfg =
   let total = total_kernels cfg * (1 + cfg.user_pes_per_kernel) in
   let topology = Topology.square total in
   let obs = Obs.Registry.create () in
-  let engine = Engine.create ~obs ~queue:cfg.engine_queue () in
+  let engine = Engine.create ~obs () in
   let trace = Obs.Trace.create ~capacity:cfg.trace_capacity in
   let fabric = Fabric.create ~obs engine topology cfg.noc in
   let grid = Dtu.create_grid ~obs fabric in

@@ -23,9 +23,6 @@ type config = {
           off only to demonstrate the fuzz oracle catching lost messages *)
   trace_capacity : int;
       (** size of the shared protocol trace ring (events kept) *)
-  engine_queue : Semper_sim.Engine.queue_kind;
-      (** event-queue backend: [Timer_wheel] (default) or the
-          [Binary_heap] differential-testing oracle *)
 }
 
 val default_config : config
@@ -42,7 +39,6 @@ val config :
   ?fault:Semper_fault.Fault.profile ->
   ?retry:bool ->
   ?trace_capacity:int ->
-  ?engine_queue:Semper_sim.Engine.queue_kind ->
   unit ->
   config
 

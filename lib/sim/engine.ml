@@ -1,90 +1,53 @@
 module Obs = Semper_obs.Obs
-module Heap = Semper_util.Heap
 module Wheel = Semper_util.Wheel
 
-(* Two interchangeable queue backends with identical (time, seq)
-   delivery order:
-
-   - [Timer_wheel] (the default): a hierarchical timer wheel with O(1)
-     schedule, O(1) eager cancel (the handle unlinks its intrusive
-     cell directly) and amortized O(1) expiry. Cancelled events leave
-     the queue immediately, so [events_skipped] stays 0 and [pending]
-     equals the live queue length; only their times linger, in a
-     shadow queue that keeps the clock advancing exactly as under the
-     heap's lazy deletion (see [wheel_step]).
-
-   - [Binary_heap]: the original O(log n) heap with lazy deletion —
-     [cancel] flips the handle state and the event is discarded when
-     it surfaces at the top of the heap (or earlier, by Floyd
-     compaction once dead slots outnumber live ones). Kept as the
-     differential-testing oracle; see test_engine_model. *)
-type queue_kind = Binary_heap | Timer_wheel
-
-type handle_state = H_pending | H_fired | H_cancelled
+(* The queue is a hierarchical timer wheel (Semper_util.Wheel): O(1)
+   schedule, O(1) cancel (the handle unlinks its intrusive cell on the
+   spot) and amortized O(1) expiry, delivering in (time, seq) order
+   because the wheel keeps insertion order within a tick. *)
 
 (* [owner] ties a pending handle to the engine instance that issued it,
    so that [cancel] can reject handles from another engine (or from a
-   pre-restore life of this engine) instead of silently corrupting the
-   dead-event accounting. Engines get their id from a process-wide
-   counter; [rebind] re-stamps a restored engine and its queued
-   handles with a fresh id. [wcell] is the event's wheel cell in
-   wheel mode ([Wnone] in heap mode), giving [cancel] its O(1)
-   unlink; it travels inside checkpoint images by marshalled sharing,
-   so a restored handle still points into the restored wheel. *)
-type handle = {
-  mutable state : handle_state;
-  mutable owner : int;
-  mutable wcell : wref;
-}
+   pre-restore life of this engine) instead of unlinking a cell of a
+   foreign wheel. Engines get their id from a process-wide counter;
+   [rebind] re-stamps a restored engine and its queued handles with a
+   fresh id. A handle is pending exactly while it holds its wheel cell;
+   firing or cancelling drops it to [Wnone]. The cell travels inside
+   checkpoint images by marshalled sharing, so a restored handle still
+   points into the restored wheel. *)
+type handle = { mutable owner : int; mutable wcell : wref }
 
 and wref = Wnone | Wcell of event Wheel.cell
 
 and event = {
   time : int64;
-  seq : int;
   run : unit -> unit;
   (* [None] for the plain [at]/[after] events, which avoids allocating
      a handle on the fast path carrying almost all simulation traffic. *)
   cell : handle option;
 }
 
-(* Wheel mode pairs the wheel with a min-heap of the *times* of
-   cancelled events. The cells unlink eagerly, but the heap backend
-   holds dead events until they surface (or compaction), and that
-   residue gates the post-drain horizon catch-up of the clock; the
-   shadow queue lets wheel mode advance the clock bit-identically
-   (see [wheel_step]). *)
-type queue = Qheap of event Heap.t | Qwheel of event Wheel.t * int64 Heap.t
-
 type t = {
   mutable uid : int;
   mutable clock : int64;
+  (* Events ever scheduled; the wheel's insertion order is this
+     sequence, and [restore] uses it to detect a queue that moved on. *)
   mutable next_seq : int;
   mutable processed : int;
-  (* Cancelled events the queue is still accounting for. Heap mode:
-     dead events physically in the heap (lazy deletion). Wheel mode:
-     entries in the shadow dead-times queue — the cells themselves
-     unlink eagerly, but the count and times are mirrored so the
-     clock advances exactly as under the heap. *)
-  mutable dead : int;
-  (* Latest time ever scheduled, dead or alive. When the queue drains,
-     the clock advances here: in the pre-cancellation engine the
-     last-popped event was exactly the latest-scheduled one (cancelled
-     timers fired as no-ops), so this keeps post-drain clocks — and
-     therefore every simulated-cycle measurement — byte-identical. *)
+  (* Latest time ever scheduled, cancelled or not. A drained unbounded
+     run advances the clock here: the pre-cancellation engine fired
+     cancelled timers as no-ops, so its last-popped event was exactly
+     the latest-scheduled one, and harnesses that read the clock after
+     the queue drains depend on landing there. *)
   mutable horizon : int64;
   mutable cancelled : int;
-  mutable skipped : int;
-  (* Heap mode: largest raw heap length (live + dead). Wheel mode:
-     largest live occupancy — dead slots don't exist there. *)
+  (* Largest live occupancy of the wheel. *)
   mutable heap_peak : int;
   (* High-water marks already pushed into [Totals]. *)
   mutable flushed_processed : int;
   mutable flushed_cancelled : int;
-  mutable flushed_skipped : int;
-  queue : queue;
+  wheel : event Wheel.t;
   ctr_cancelled : Obs.Registry.counter option;
-  ctr_skipped : Obs.Registry.counter option;
 }
 
 (* Process-wide totals across every engine, for wall-clock benchmarking
@@ -95,12 +58,10 @@ type t = {
 module Totals = struct
   let processed_a = Atomic.make 0
   let cancelled_a = Atomic.make 0
-  let skipped_a = Atomic.make 0
   let heap_peak_a = Atomic.make 0
 
   let processed () = Atomic.get processed_a
   let cancelled () = Atomic.get cancelled_a
-  let skipped () = Atomic.get skipped_a
   let heap_peak () = Atomic.get heap_peak_a
   let reset_heap_peak () = Atomic.set heap_peak_a 0
 
@@ -111,41 +72,27 @@ module Totals = struct
     if n > cur && not (Atomic.compare_and_set a cur n) then max_to a n
 end
 
-let compare_event a b =
-  let c = Int64.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let dummy_event = { time = 0L; seq = -1; run = (fun () -> ()); cell = None }
+let dummy_event = { time = 0L; run = (fun () -> ()); cell = None }
 
 (* Engine instance ids. Atomic because sweeps create engines on many
    domains at once; the ids only need to be distinct, not dense. *)
 let next_uid = Atomic.make 0
 
-let create ?obs ?(queue = Timer_wheel) () =
-  let ctr name = Option.map (fun r -> Obs.Registry.counter r ("engine." ^ name)) obs in
+let create ?obs () =
   let t =
     {
       uid = Atomic.fetch_and_add next_uid 1;
       clock = 0L;
       next_seq = 0;
       processed = 0;
-      dead = 0;
       horizon = 0L;
       cancelled = 0;
-      skipped = 0;
       heap_peak = 0;
       flushed_processed = 0;
       flushed_cancelled = 0;
-      flushed_skipped = 0;
-      queue =
-        (match queue with
-        | Binary_heap -> Qheap (Heap.create ~dummy:dummy_event ~compare:compare_event)
-        | Timer_wheel ->
-          Qwheel
-            ( Wheel.create ~dummy:dummy_event (),
-              Heap.create ~dummy:0L ~compare:Int64.compare ));
-      ctr_cancelled = ctr "events_cancelled";
-      ctr_skipped = ctr "events_skipped";
+      wheel = Wheel.create ~dummy:dummy_event ();
+      ctr_cancelled =
+        Option.map (fun r -> Obs.Registry.counter r "engine.events_cancelled") obs;
     }
   in
   Option.iter
@@ -153,19 +100,7 @@ let create ?obs ?(queue = Timer_wheel) () =
     obs;
   t
 
-let queue_kind t = match t.queue with Qheap _ -> Binary_heap | Qwheel _ -> Timer_wheel
 let now t = t.clock
-
-let queue_length t =
-  match t.queue with Qheap h -> Heap.length h | Qwheel (w, _) -> Wheel.length w
-
-(* Queue length as the heap backend would report it: live plus dead.
-   This is the figure the snapshot records, so the two backends agree
-   on what a quiescent engine is. *)
-let raw_length t =
-  match t.queue with
-  | Qheap h -> Heap.length h
-  | Qwheel (w, d) -> Wheel.length w + Heap.length d
 
 (* Simulated cycles are int64 for interface stability, but the wheel
    indexes by native int: on 64-bit hosts that caps the clock at 2^62
@@ -177,16 +112,11 @@ let wheel_time time =
 
 let schedule t time run cell =
   if Int64.compare time t.clock < 0 then invalid_arg "Engine.at: time in the past";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+  t.next_seq <- t.next_seq + 1;
   if Int64.compare time t.horizon > 0 then t.horizon <- time;
-  let ev = { time; seq; run; cell } in
-  (match t.queue with
-  | Qheap h -> Heap.push h ev
-  | Qwheel (w, _) ->
-    let c = Wheel.add w ~time:(wheel_time time) ev in
-    (match cell with Some hd -> hd.wcell <- Wcell c | None -> ()));
-  let len = queue_length t in
+  let c = Wheel.add t.wheel ~time:(wheel_time time) { time; run; cell } in
+  (match cell with Some h -> h.wcell <- Wcell c | None -> ());
+  let len = Wheel.length t.wheel in
   if len > t.heap_peak then t.heap_peak <- len
 
 let at t time run = schedule t time run None
@@ -196,7 +126,7 @@ let after t delay run =
   at t (Int64.add t.clock delay) run
 
 let at_cancellable t time run =
-  let h = { state = H_pending; owner = t.uid; wcell = Wnone } in
+  let h = { owner = t.uid; wcell = Wnone } in
   schedule t time run (Some h);
   h
 
@@ -204,203 +134,72 @@ let after_cancellable t delay run =
   if Int64.compare delay 0L < 0 then invalid_arg "Engine.after: negative delay";
   at_cancellable t (Int64.add t.clock delay) run
 
-let is_dead ev = match ev.cell with Some h -> h.state = H_cancelled | None -> false
-
-(* Heap mode only: purge cancelled events once they outnumber the live
-   ones, so the heap tracks in-flight work rather than everything ever
-   scheduled. The 50% threshold makes compaction O(1) amortised per
-   cancellation; the size floor avoids churn on tiny queues. *)
-let maybe_compact t h =
-  let len = Heap.length h in
-  if len >= 64 && 2 * t.dead > len then begin
-    Heap.filter_in_place (fun ev -> not (is_dead ev)) h;
-    t.dead <- 0
-  end
-
 let cancel t h =
-  match h.state with
-  | H_fired | H_cancelled -> ()
-  | H_pending ->
+  match h.wcell with
+  | Wnone -> ()
+  | Wcell c ->
     if h.owner <> t.uid then
       invalid_arg "Engine.cancel: handle belongs to a different engine (or a stale restore)";
-    h.state <- H_cancelled;
+    ignore (Wheel.remove t.wheel c);
+    h.wcell <- Wnone;
     t.cancelled <- t.cancelled + 1;
-    Option.iter Obs.Registry.incr t.ctr_cancelled;
-    (match t.queue with
-    | Qheap hp ->
-      t.dead <- t.dead + 1;
-      maybe_compact t hp
-    | Qwheel (w, d) ->
-      (match h.wcell with
-      | Wcell c ->
-        let tm = Int64.of_int (Wheel.time c) in
-        ignore (Wheel.remove w c);
-        h.wcell <- Wnone;
-        (* Shadow the heap's lazy deletion: record the dead event's
-           time so bounded runs hold the clock back exactly as the
-           heap does (see [wheel_step]), and clear the shadow on the
-           same threshold as [maybe_compact] — the raw length here
-           equals the heap's [Heap.length] because the heap would
-           still be holding both the live events and the dead ones. *)
-        Heap.push d tm;
-        t.dead <- t.dead + 1;
-        let raw = Wheel.length w + t.dead in
-        if raw >= 64 && 2 * t.dead > raw then begin
-          Heap.clear d;
-          t.dead <- 0
-        end
-      | Wnone ->
-        (* A pending wheel-mode handle always carries its cell;
-           reaching here means the handle was forged or crossed
-           engines past the owner check. *)
-        invalid_arg "Engine.cancel: pending handle has no queue cell"))
-
-(* One step of the heap-mode run loop: returns [true] while events may
-   remain to process within [until]. *)
-let heap_step t h until =
-  match Heap.peek h with
-  | None ->
-    (* Queue drained: catch the clock up to the latest-scheduled
-       event (see [horizon]) and then to the requested bound, so that
-       back-to-back bounded runs observe a monotone [now]. *)
-    if Int64.compare t.horizon t.clock > 0 then t.clock <- t.horizon;
-    (match until with
-    | Some limit when Int64.compare limit t.clock > 0 -> t.clock <- limit
-    | _ -> ());
-    None
-  | Some ev ->
-    (match until with
-    | Some limit when Int64.compare ev.time limit > 0 ->
-      (* Leave future events queued but advance the clock to the limit
-         so that repeated bounded runs make progress. The clock never
-         moves backwards, even for a limit in the past. *)
-      if Int64.compare limit t.clock > 0 then t.clock <- limit;
-      None
-    | Some _ | None ->
-      let ev = Heap.pop h in
-      if is_dead ev then begin
-        t.dead <- t.dead - 1;
-        t.skipped <- t.skipped + 1;
-        Option.iter Obs.Registry.incr t.ctr_skipped;
-        Some None
-      end
-      else Some (Some ev))
-
-(* Wheel-mode step. The wheel has no dead slots to skip, so a popped
-   cell is always live; [pop ~limit] refuses to advance its cursor
-   past the limit, keeping the cursor <= clock invariant that lets a
-   later [schedule] at the current clock land in front of it.
-
-   The clock contract is the heap's: the clock only catches up to
-   [horizon] once the raw queue — dead events included — has drained.
-   The heap discards a dead event only when it surfaces within the
-   run's limit, so a cancelled timer beyond the limit still holds the
-   clock back; [dead_times] replays that behaviour from the shadow
-   record of cancelled times. *)
-let wheel_step t w dead_times until =
-  let limit =
-    match until with
-    | Some limit when Int64.compare limit (Int64.of_int max_int) < 0 ->
-      Int64.to_int limit
-    | Some _ | None -> max_int
-  in
-  match Wheel.pop w ~limit with
-  | Some c -> Some (Some (Wheel.value c))
-  | None ->
-    (* No live event within the limit: the heap would now surface and
-       discard every dead event up to the limit before deciding
-       whether the queue has drained. *)
-    let within tm =
-      match until with Some l -> Int64.compare tm l <= 0 | None -> true
-    in
-    let rec drop () =
-      match Heap.peek dead_times with
-      | Some tm when within tm ->
-        ignore (Heap.pop dead_times);
-        t.dead <- t.dead - 1;
-        drop ()
-      | Some _ | None -> ()
-    in
-    drop ();
-    if Wheel.length w = 0 && Heap.length dead_times = 0 then begin
-      if Int64.compare t.horizon t.clock > 0 then t.clock <- t.horizon;
-      match until with
-      | Some limit when Int64.compare limit t.clock > 0 ->
-        t.clock <- limit;
-        None
-      | _ -> None
-    end
-    else begin
-      (match until with
-      | Some limit when Int64.compare limit t.clock > 0 -> t.clock <- limit
-      | _ -> ());
-      None
-    end
+    Option.iter Obs.Registry.incr t.ctr_cancelled
 
 let run ?until t =
+  (* [Wheel.pop ~limit] never advances its cursor past the limit, which
+     keeps the cursor <= clock invariant that lets a later [schedule]
+     at the current clock land in front of it. *)
+  let limit =
+    match until with
+    | Some l when Int64.compare l (Int64.of_int max_int) < 0 -> Int64.to_int l
+    | Some _ | None -> max_int
+  in
   let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let step =
-      match t.queue with
-      | Qheap h -> heap_step t h until
-      | Qwheel (w, d) -> wheel_step t w d until
-    in
-    match step with
-    | None -> continue := false
-    | Some None -> () (* dead event skipped; keep going *)
-    | Some (Some ev) ->
-      (match ev.cell with
-      | Some h ->
-        h.state <- H_fired;
-        h.wcell <- Wnone
-      | None -> ());
+  let rec loop () =
+    match Wheel.pop t.wheel ~limit with
+    | None -> ()
+    | Some c ->
+      let ev = Wheel.value c in
+      (match ev.cell with Some h -> h.wcell <- Wnone | None -> ());
       t.clock <- ev.time;
       t.processed <- t.processed + 1;
       incr count;
-      ev.run ()
-  done;
+      ev.run ();
+      loop ()
+  in
+  loop ();
+  (* The clock contract (see engine.mli): a bounded run ends at
+     [max clock until], a drained unbounded run at [max clock horizon]. *)
+  let target = match until with Some l -> l | None -> t.horizon in
+  if Int64.compare target t.clock > 0 then t.clock <- target;
   Totals.add Totals.processed_a (t.processed - t.flushed_processed);
   Totals.add Totals.cancelled_a (t.cancelled - t.flushed_cancelled);
-  Totals.add Totals.skipped_a (t.skipped - t.flushed_skipped);
   t.flushed_processed <- t.processed;
   t.flushed_cancelled <- t.cancelled;
-  t.flushed_skipped <- t.skipped;
   Totals.max_to Totals.heap_peak_a t.heap_peak;
   !count
 
 let events_processed t = t.processed
 let events_cancelled t = t.cancelled
-let events_skipped t = t.skipped
+let events_skipped _ = 0
 let heap_peak t = t.heap_peak
-let pending t =
-  match t.queue with
-  | Qheap h -> Heap.length h - t.dead
-  | Qwheel (w, _) -> Wheel.length w
+let pending t = Wheel.length t.wheel
 
 let rebind t =
   t.uid <- Atomic.fetch_and_add next_uid 1;
-  (* Every still-pending handle sits in the queue (a pending event is by
-     definition scheduled), so walking the queue re-stamps them all.
-     Fired and cancelled cells are left alone: [cancel] no-ops on them
-     before it ever looks at the owner. *)
-  let restamp ev =
-    match ev.cell with
-    | Some h when h.state = H_pending -> h.owner <- t.uid
-    | Some _ | None -> ()
-  in
-  match t.queue with
-  | Qheap h -> Heap.fold (fun () ev -> restamp ev) () h
-  | Qwheel (w, _) -> Wheel.iter (fun c -> restamp (Wheel.value c)) w
+  (* Every queued handle is pending by definition, so walking the
+     wheel re-stamps them all. Fired and cancelled handles are left
+     alone: [cancel] no-ops on them before it ever looks at the owner. *)
+  Wheel.iter
+    (fun c -> match (Wheel.value c).cell with Some h -> h.owner <- t.uid | None -> ())
+    t.wheel
 
 type snapshot = {
   s_clock : int64;
   s_next_seq : int;
   s_processed : int;
-  s_dead : int;
   s_horizon : int64;
   s_cancelled : int;
-  s_skipped : int;
   s_heap_peak : int;
   s_queued : int;
 }
@@ -410,34 +209,30 @@ let snapshot t =
     s_clock = t.clock;
     s_next_seq = t.next_seq;
     s_processed = t.processed;
-    s_dead = t.dead;
     s_horizon = t.horizon;
     s_cancelled = t.cancelled;
-    s_skipped = t.skipped;
     s_heap_peak = t.heap_peak;
-    s_queued = raw_length t;
+    s_queued = Wheel.length t.wheel;
   }
 
 let restore t s =
-  if raw_length t <> s.s_queued then
+  if Wheel.length t.wheel <> s.s_queued then
     invalid_arg "Engine.restore: queue length does not match the snapshot";
   (* A non-empty queue carries closures the snapshot cannot describe,
      so it must be byte-for-byte the snapshot's queue already (whole-
      image checkpoint first); equal length is the cheap check and the
      sequence counter catches control planes that merely drained back
-     to the same length — possible under the wheel, whose cancels
-     vanish eagerly. An empty queue is different: [s_queued = 0] fully
-     describes it, so rewinding a quiescent engine to a quiescent
-     snapshot is complete and allowed even though [next_seq] moved. *)
+     to the same length, which eager cancellation makes possible. An
+     empty queue is different: [s_queued = 0] fully describes it, so
+     rewinding a quiescent engine to a quiescent snapshot is complete
+     and allowed even though [next_seq] moved. *)
   if s.s_queued > 0 && t.next_seq <> s.s_next_seq then
     invalid_arg "Engine.restore: engine scheduled events since the snapshot";
   t.clock <- s.s_clock;
   t.next_seq <- s.s_next_seq;
   t.processed <- s.s_processed;
-  t.dead <- s.s_dead;
   t.horizon <- s.s_horizon;
   t.cancelled <- s.s_cancelled;
-  t.skipped <- s.s_skipped;
   t.heap_peak <- s.s_heap_peak;
   (* Rewinding to an earlier snapshot must also rewind the flushed
      high-water marks: the events between the snapshot and now will
@@ -445,5 +240,4 @@ let restore t s =
      their pre-restore values the next flush delta goes negative and
      [Totals.add] silently drops everything up to the old mark. *)
   t.flushed_processed <- min t.flushed_processed s.s_processed;
-  t.flushed_cancelled <- min t.flushed_cancelled s.s_cancelled;
-  t.flushed_skipped <- min t.flushed_skipped s.s_skipped
+  t.flushed_cancelled <- min t.flushed_cancelled s.s_cancelled

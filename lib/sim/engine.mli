@@ -3,36 +3,36 @@
     Time is measured in cycles (an [int64], matching the paper's 2 GHz
     clock). Events scheduled for the same cycle run in scheduling order,
     so a run is fully deterministic — the delivery order is exactly
-    [(time, seq)] under either queue backend.
+    [(time, seq)], where [seq] is the order of scheduling.
 
-    {2 Queue backends}
-
-    The default backend is a hierarchical timer wheel
-    ({!Semper_util.Wheel}): O(1) schedule, O(1) cancel (the event's
-    intrusive cell is unlinked eagerly) and amortized O(1) expiry, so
-    engine cost no longer grows with the number of pending events. The
-    original binary heap stays available as [Binary_heap] — it is the
-    differential-testing oracle (see [test_engine_model]) and keeps
-    the lazy-deletion semantics documented below.
+    The queue is a hierarchical timer wheel ({!Semper_util.Wheel}):
+    O(1) schedule, O(1) cancel (the event's intrusive cell is unlinked
+    on the spot) and amortized O(1) expiry, so engine cost does not
+    grow with the number of pending events.
 
     {2 Cancellable timers}
 
     Protocol timeouts are almost always cancelled (a retransmission
     timer dies the moment the ack arrives), so [at_cancellable] /
-    [after_cancellable] return a {!handle} that [cancel] retires. In
-    wheel mode the cancelled event leaves the queue immediately; in
-    heap mode it is retired lazily: the slot is marked dead, [run]
-    discards it when it surfaces instead of executing it, and the
-    queue compacts once dead slots outnumber live ones. Either way,
-    scheduling order, sequence numbering, and the clock are exactly as
-    if the cancelled event had fired as a no-op, so cancellation is
-    invisible to simulated time — it only shrinks the queue and the
-    events actually executed. *)
+    [after_cancellable] return a {!handle} that [cancel] retires. A
+    cancelled event leaves the queue immediately and never fires.
+
+    {2 The clock contract}
+
+    [run] moves the clock to the time of each event it fires, and when
+    it returns the clock obeys two rules:
+
+    + a bounded [run ~until] ends at [max clock until] — events after
+      [until] stay queued and never pull the clock past it;
+    + an unbounded [run] drains the queue and ends at
+      [max clock horizon], where [horizon] is the latest time ever
+      scheduled, cancelled or not.
+
+    The second rule keeps post-drain clocks where an engine that fired
+    cancelled timers as no-ops would leave them; harnesses that start
+    or stop their timers on the drained clock depend on it. *)
 
 type t
-
-(** Queue backend selector; see the module docs. *)
-type queue_kind = Binary_heap | Timer_wheel
 
 (** A cancellable event. Handles are single-engine: each handle is
     stamped with the issuing engine's instance id, and [cancel] raises
@@ -43,14 +43,10 @@ type queue_kind = Binary_heap | Timer_wheel
     any handle from the pre-restore life is permanently foreign to it. *)
 type handle
 
-(** Fresh engine at cycle 0 using the given [queue] backend (default
-    [Timer_wheel]). When [obs] is given, the engine registers
-    [engine.events_cancelled] and [engine.events_skipped] counters and
-    an [engine.heap_peak] gauge there. *)
-val create : ?obs:Semper_obs.Obs.Registry.t -> ?queue:queue_kind -> unit -> t
-
-(** The backend this engine was created with. *)
-val queue_kind : t -> queue_kind
+(** Fresh engine at cycle 0. When [obs] is given, the engine registers
+    an [engine.events_cancelled] counter and an [engine.heap_peak]
+    gauge there. *)
+val create : ?obs:Semper_obs.Obs.Registry.t -> unit -> t
 
 (** Current simulation time in cycles. *)
 val now : t -> int64
@@ -83,9 +79,9 @@ val cancel : t -> handle -> unit
 val rebind : t -> unit
 
 (** Run until the event queue is empty, or until the optional [until]
-    cycle (events strictly after it stay queued). Returns the number of
-    events executed by this call (cancelled events are discarded, not
-    executed, and not counted). *)
+    cycle (events strictly after it stay queued); the clock then
+    follows the two rules of the module docs. Returns the number of
+    events executed by this call. *)
 val run : ?until:int64 -> t -> int
 
 (** Total events executed since creation (excludes cancelled ones). *)
@@ -94,17 +90,15 @@ val events_processed : t -> int
 (** Events retired via {!cancel} before firing. *)
 val events_cancelled : t -> int
 
-(** Heap mode: cancelled events discarded at the top of the queue by
-    {!run} (the rest are removed wholesale by compaction). Always 0 in
-    wheel mode — the wheel unlinks cancelled events eagerly. *)
+(** Always 0: cancelled events leave the queue at [cancel], so [run]
+    never skips one. Kept for existing readers of the counter. *)
 val events_skipped : t -> int
 
 (** Largest queue occupancy observed — the simulator's memory
-    high-water mark. In heap mode this counts not-yet-collected
-    cancelled slots; in wheel mode every counted event is live. *)
+    high-water mark. *)
 val heap_peak : t -> int
 
-(** Live (non-cancelled) events currently queued. *)
+(** Events currently queued. *)
 val pending : t -> int
 
 (** Closure-free image of the engine's scalar state (clock, sequence
@@ -116,14 +110,10 @@ type snapshot = {
   s_clock : int64;
   s_next_seq : int;
   s_processed : int;
-  s_dead : int;
-      (** cancelled events the queue still accounts for (in wheel mode
-          only their times remain, in the shadow dead-times queue) *)
   s_horizon : int64;
   s_cancelled : int;
-  s_skipped : int;
   s_heap_peak : int;
-  s_queued : int;  (** queued events including dead (cancelled) slots *)
+  s_queued : int;
 }
 
 val snapshot : t -> snapshot
@@ -132,14 +122,15 @@ val snapshot : t -> snapshot
     untouched, so when the snapshot has queued events the engine's
     current queue must already match it — [s_queued] is checked, and
     [s_next_seq] too, which catches control planes that moved on and
-    drained back to the snapshot's queue length (possible under the
-    wheel, whose cancels vanish eagerly); raises [Invalid_argument]
+    drained back to the snapshot's queue length (possible because
+    cancels leave the queue at once); raises [Invalid_argument]
     otherwise. The intended caller restores the event queue via a
     whole-image checkpoint first. A {e quiescent} rewind — both the
     snapshot and the engine with empty queues — is always allowed:
-    an empty queue carries no closures, so the restore is complete. Also rewinds the {!Totals} flush
-    marks so work replayed after the restore is counted again rather
-    than vanishing into a negative flush delta. *)
+    an empty queue carries no closures, so the restore is complete.
+    Also rewinds the {!Totals} flush marks so work replayed after the
+    restore is counted again rather than vanishing into a negative
+    flush delta. *)
 val restore : t -> snapshot -> unit
 
 (** Process-wide totals over every engine ever created, including those
@@ -148,7 +139,6 @@ val restore : t -> snapshot -> unit
 module Totals : sig
   val processed : unit -> int
   val cancelled : unit -> int
-  val skipped : unit -> int
 
   (** Maximum {!heap_peak} over all engines so far. *)
   val heap_peak : unit -> int

@@ -3,8 +3,8 @@
 
     A wheel holds cells keyed by an absolute integer [time] and returns
     them in nondecreasing time order, ties broken by insertion order —
-    exactly the [(time, seq)] order of the engine's binary heap, with
-    every operation O(1) instead of O(log n):
+    exactly the engine's [(time, seq)] delivery order, with every
+    operation O(1) instead of a binary heap's O(log n):
 
     - {!add} computes the cell's level/slot from the XOR of its time
       with the wheel cursor (at most {!levels} probes) and appends it

@@ -16,7 +16,7 @@
 
 open Semperos
 
-let golden_stats_md5 = "63d03015d9795b9ef2307300667fcff1"
+let golden_stats_md5 = "03c19e14e4f50c42a9fc5fb8c9859302"
 let golden_trace_md5 = "55ea37edc14fb6918409f545b02c9952"
 
 let failed = ref false

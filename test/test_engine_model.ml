@@ -1,164 +1,145 @@
-(* Model-based differential test for the engine's two queue backends.
+(* Model-based test of the engine against a reference model of its
+   contract.
 
-   The binary heap is the oracle: it is the original implementation
-   whose schedules every committed figure and bench was recorded
-   under. A fixed-seed driver runs thousands of random operations —
-   schedule (plain and cancellable, absolute and relative, with heavy
-   same-time collision), cancel (pending, fired, double), bounded and
-   unbounded runs — against a heap engine and a wheel engine in
-   lockstep, asserting after every step that fire order, fire times,
-   clocks, and the pending/processed/cancelled counters agree.
-
-   [events_skipped] is deliberately excluded from the equality set:
-   skipping is lazy-deletion bookkeeping private to the heap backend
-   (dead events discarded as they surface), while the wheel unlinks
-   cancelled cells eagerly and must report zero — which is asserted
-   instead. Mirrors the test_mapdb_model.ml pattern. *)
+   The model is a sorted list of pending (time, tag) entries plus the
+   two clock rules of engine.mli: a bounded run ends at
+   [max clock until], and an unbounded run drains and ends at
+   [max clock horizon], where [horizon] is the latest time ever
+   scheduled, cancelled or not. A fixed-seed driver runs thousands of
+   random operations — schedule (plain and cancellable, with heavy
+   same-time collision and occasional far-future times that force
+   wheel cascades), cancel (pending, fired, double), bounded and
+   unbounded runs — against the engine and the model in lockstep,
+   asserting after every step that fire order, fire times, clocks, and
+   the pending/processed/cancelled counters agree. Mirrors the
+   test_mapdb_model.ml pattern. *)
 
 open Semperos
 
-let check = Alcotest.check
+(* The reference model. Tags are assigned in scheduling order, so
+   ordering entries by (time, tag) is the engine's (time, seq) order. *)
+module Model = struct
+  type t = {
+    mutable clock : int64;
+    mutable horizon : int64;
+    mutable queue : (int64 * int) list;  (* sorted by (time, tag) *)
+    mutable processed : int;
+    mutable cancelled : int;
+    mutable log : (int * int64) list;  (* fired (tag, time), newest first *)
+  }
 
-(* One engine plus the log of events it fired: (tag, fire time). Tags
-   are the scheduling sequence the driver assigns, so equal logs mean
-   equal order, not just equal multisets. *)
-type side = {
-  engine : Engine.t;
-  log : (int * int64) list ref;
-  mutable handles : (int * Engine.handle) list;  (* pending cancellables *)
-}
+  let create () =
+    { clock = 0L; horizon = 0L; queue = []; processed = 0; cancelled = 0; log = [] }
 
-let make_side queue =
-  { engine = Engine.create ~queue (); log = ref []; handles = [] }
+  let schedule m ~delay ~tag =
+    let time = Int64.add m.clock delay in
+    if Int64.compare time m.horizon > 0 then m.horizon <- time;
+    m.queue <- List.merge compare m.queue [ (time, tag) ]
 
-let agree step what fmt_a a b =
+  let cancel m tag =
+    if List.exists (fun (_, t) -> t = tag) m.queue then begin
+      m.queue <- List.filter (fun (_, t) -> t <> tag) m.queue;
+      m.cancelled <- m.cancelled + 1
+    end
+
+  let run ?until m =
+    let due time = match until with Some l -> Int64.compare time l <= 0 | None -> true in
+    let rec go n =
+      match m.queue with
+      | (time, tag) :: rest when due time ->
+        m.queue <- rest;
+        m.clock <- time;
+        m.processed <- m.processed + 1;
+        m.log <- (tag, time) :: m.log;
+        go (n + 1)
+      | _ -> n
+    in
+    let n = go 0 in
+    let target = match until with Some l -> l | None -> m.horizon in
+    if Int64.compare target m.clock > 0 then m.clock <- target;
+    n
+end
+
+let agree step what fmt a b =
   if a <> b then
-    Alcotest.failf "step %d: %s diverges: heap %s, wheel %s" step what (fmt_a a) (fmt_a b)
+    Alcotest.failf "step %d: %s diverges: model %s, engine %s" step what (fmt a) (fmt b)
 
-let agree_on_exn step what f g =
-  let run h =
-    match h () with
-    | x -> Ok x
-    | exception Invalid_argument m -> Error m
-  in
-  let a = run f and b = run g in
-  (match (a, b) with
-  | Ok _, Ok _ | Error _, Error _ -> ()
-  | Ok _, Error m -> Alcotest.failf "step %d: %s: only the wheel raised (%s)" step what m
-  | Error m, Ok _ -> Alcotest.failf "step %d: %s: only the heap raised (%s)" step what m);
-  (a, b)
-
-let observe step (h : side) (w : side) =
+let observe step (m : Model.t) e log =
   agree step "fire log"
     (fun l ->
       String.concat ";" (List.map (fun (i, t) -> Printf.sprintf "%d@%Ld" i t) (List.rev l)))
-    !(h.log) !(w.log);
-  agree step "clock" Int64.to_string (Engine.now h.engine) (Engine.now w.engine);
-  agree step "pending" string_of_int (Engine.pending h.engine) (Engine.pending w.engine);
-  agree step "processed" string_of_int
-    (Engine.events_processed h.engine)
-    (Engine.events_processed w.engine);
-  agree step "cancelled" string_of_int
-    (Engine.events_cancelled h.engine)
-    (Engine.events_cancelled w.engine);
-  check Alcotest.int
-    (Printf.sprintf "step %d: wheel never skips" step)
-    0
-    (Engine.events_skipped w.engine)
+    m.log log;
+  agree step "clock" Int64.to_string m.clock (Engine.now e);
+  agree step "pending" string_of_int (List.length m.queue) (Engine.pending e);
+  agree step "processed" string_of_int m.processed (Engine.events_processed e);
+  agree step "cancelled" string_of_int m.cancelled (Engine.events_cancelled e)
 
 let drive ~seed ~steps =
   let rng = Random.State.make [| seed |] in
-  let h = make_side Engine.Binary_heap in
-  let w = make_side Engine.Timer_wheel in
+  let m = Model.create () in
+  let e = Engine.create () in
+  let log = ref [] in
+  let handles = ref [] in
   let tag = ref 0 in
+  let schedule ~cancellable delay =
+    let i = !tag in
+    incr tag;
+    Model.schedule m ~delay ~tag:i;
+    let fire () = log := (i, Engine.now e) :: !log in
+    if cancellable then handles := (i, Engine.after_cancellable e delay fire) :: !handles
+    else Engine.after e delay fire
+  in
   for step = 1 to steps do
     (match Random.State.int rng 100 with
     | n when n < 40 ->
       (* plain schedule; clustered delays force same-time collisions,
          occasional huge delays force wheel cascades across levels *)
-      let delay =
-        match Random.State.int rng 10 with
+      schedule ~cancellable:false
+        (match Random.State.int rng 10 with
         | 0 -> 0L
         | 9 -> Int64.of_int (1 + Random.State.int rng 3_000_000)
-        | _ -> Int64.of_int (Random.State.int rng 40)
-      in
-      let i = !tag in
-      incr tag;
-      Engine.after h.engine delay (fun () -> h.log := (i, Engine.now h.engine) :: !(h.log));
-      Engine.after w.engine delay (fun () -> w.log := (i, Engine.now w.engine) :: !(w.log))
+        | _ -> Int64.of_int (Random.State.int rng 40))
     | n when n < 65 ->
-      (* cancellable schedule, handle retained for later cancellation;
-         the occasional far-future timer reproduces a cancelled retry
-         timer extending [horizon] past later bounded runs, where the
-         heap's dead slot must hold the clock back on both sides *)
-      let delay =
-        match Random.State.int rng 8 with
+      (* cancellable schedule; the occasional far-future timer, once
+         cancelled, extends [horizon] past later bounded runs, which
+         must still stop at their limit *)
+      schedule ~cancellable:true
+        (match Random.State.int rng 8 with
         | 0 -> Int64.of_int (1 + Random.State.int rng 3_000_000)
-        | _ -> Int64.of_int (Random.State.int rng 200)
-      in
-      let i = !tag in
-      incr tag;
-      let hh =
-        Engine.after_cancellable h.engine delay (fun () ->
-            h.log := (i, Engine.now h.engine) :: !(h.log))
-      in
-      let wh =
-        Engine.after_cancellable w.engine delay (fun () ->
-            w.log := (i, Engine.now w.engine) :: !(w.log))
-      in
-      h.handles <- (i, hh) :: h.handles;
-      w.handles <- (i, wh) :: w.handles
-    | n when n < 85 ->
+        | _ -> Int64.of_int (Random.State.int rng 200))
+    | n when n < 85 -> (
       (* cancel a random retained handle — possibly already fired, and
          sometimes twice, exercising the idempotent paths *)
-      (match h.handles with
+      match !handles with
       | [] -> ()
       | l ->
-        let pick = Random.State.int rng (List.length l) in
-        let i, hh = List.nth l pick in
-        let wh = List.assoc i w.handles in
+        let i, h = List.nth l (Random.State.int rng (List.length l)) in
         let twice = Random.State.int rng 4 = 0 in
-        ignore
-          (agree_on_exn step "cancel"
-             (fun () ->
-               Engine.cancel h.engine hh;
-               if twice then Engine.cancel h.engine hh)
-             (fun () ->
-               Engine.cancel w.engine wh;
-               if twice then Engine.cancel w.engine wh)))
+        Model.cancel m i;
+        Engine.cancel e h;
+        if twice then begin
+          Model.cancel m i;
+          Engine.cancel e h
+        end)
     | n when n < 95 ->
       (* bounded run: limits behind the clock, at it, and past it *)
-      let ahead = Int64.of_int (Random.State.int rng 300 - 20) in
-      let limit = Int64.add (Engine.now h.engine) ahead in
-      let a, b =
-        agree_on_exn step "bounded run"
-          (fun () -> Engine.run ~until:limit h.engine)
-          (fun () -> Engine.run ~until:limit w.engine)
-      in
-      agree step "bounded run count"
-        (function Ok n -> string_of_int n | Error m -> m)
-        a b
-    | _ ->
-      let a, b =
-        agree_on_exn step "drain"
-          (fun () -> Engine.run h.engine)
-          (fun () -> Engine.run w.engine)
-      in
-      agree step "drain count" (function Ok n -> string_of_int n | Error m -> m) a b);
-    observe step h w
+      let limit = Int64.add m.clock (Int64.of_int (Random.State.int rng 300 - 20)) in
+      let a = Model.run ~until:limit m in
+      agree step "bounded run count" string_of_int a (Engine.run ~until:limit e)
+    | _ -> agree step "drain count" string_of_int (Model.run m) (Engine.run e));
+    observe step m e !log
   done;
-  (* final drain: every queue empties to the same place *)
-  ignore (Engine.run h.engine);
-  ignore (Engine.run w.engine);
-  observe (steps + 1) h w;
-  check Alcotest.int "heap drained" 0 (Engine.pending h.engine);
-  check Alcotest.int "wheel drained" 0 (Engine.pending w.engine)
+  (* final drain: both empty and land on the horizon *)
+  ignore (Model.run m);
+  ignore (Engine.run e);
+  observe (steps + 1) m e !log;
+  Alcotest.check Alcotest.int "drained" 0 (Engine.pending e)
 
 let test_seed seed () = drive ~seed ~steps:800
 
 let suite =
   [
-    Alcotest.test_case "wheel matches heap oracle (seed 0xfeed)" `Quick (test_seed 0xfeed);
-    Alcotest.test_case "wheel matches heap oracle (seed 0xbeef)" `Quick (test_seed 0xbeef);
-    Alcotest.test_case "wheel matches heap oracle (seed 0xcafe)" `Quick (test_seed 0xcafe);
+    Alcotest.test_case "matches list model (seed 0xfeed)" `Quick (test_seed 0xfeed);
+    Alcotest.test_case "matches list model (seed 0xbeef)" `Quick (test_seed 0xbeef);
+    Alcotest.test_case "matches list model (seed 0xcafe)" `Quick (test_seed 0xcafe);
   ]

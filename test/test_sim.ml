@@ -129,38 +129,11 @@ let test_engine_counts () =
 (* ------------------------------------------------------------------ *)
 (* Cancellable timers                                                  *)
 
-(* The lazy-deletion tests pin heap-mode semantics (skipped counts,
-   compaction) to the [Binary_heap] oracle backend; the wheel twins
-   below assert the eager-unlink semantics of the default backend.
-   Delivery order and clocks must be identical under both — that
-   equivalence is fuzzed in test_engine_model. *)
-
+(* A cancel unlinks the event at once: [pending] drops, the callback
+   never runs, and the drained clock still reaches the cancelled
+   event's time (the horizon rule). *)
 let test_cancel_before_fire () =
-  let e = Engine.create ~queue:Engine.Binary_heap () in
-  let fired = ref false and live = ref false in
-  let h = Engine.after_cancellable e 20L (fun () -> fired := true) in
-  Engine.after e 10L (fun () -> live := true);
-  check Alcotest.int "pending counts both" 2 (Engine.pending e);
-  Engine.cancel e h;
-  check Alcotest.int "pending excludes dead" 1 (Engine.pending e);
-  check Alcotest.int "cancelled" 1 (Engine.events_cancelled e);
-  ignore (Engine.run e);
-  check Alcotest.bool "cancelled never fires" false !fired;
-  check Alcotest.bool "live fires" true !live;
-  check Alcotest.int "processed excludes cancelled" 1 (Engine.events_processed e);
-  check Alcotest.int "dead slot discarded by run" 1 (Engine.events_skipped e);
-  (* The seed engine executed the dead event as a no-op at cycle 20 and
-     the clock followed it; the drained clock must still land there. *)
-  check Alcotest.int64 "clock reaches the cancelled horizon" 20L (Engine.now e)
-
-(* Same scenario under the default wheel backend: the cancel unlinks
-   the event immediately, so nothing is ever skipped, while delivery,
-   counters visible to simulated time, and the drained clock match the
-   heap exactly. *)
-let test_cancel_before_fire_wheel () =
   let e = Engine.create () in
-  check Alcotest.bool "wheel is the default backend" true
-    (Engine.queue_kind e = Engine.Timer_wheel);
   let fired = ref false and live = ref false in
   let h = Engine.after_cancellable e 20L (fun () -> fired := true) in
   Engine.after e 10L (fun () -> live := true);
@@ -191,60 +164,27 @@ let test_cancel_after_fire_and_double () =
   check Alcotest.int "cancelled callback never ran" 1 !n
 
 let test_cancel_interleaved_with_until () =
-  let run_with queue =
-    let e = Engine.create ~queue () in
-    let order = ref [] in
-    let note x () = order := x :: !order in
-    ignore (Engine.after_cancellable e 10L (note 10));
-    let h20 = Engine.after_cancellable e 20L (note 20) in
-    ignore (Engine.after_cancellable e 30L (note 30));
-    ignore (Engine.run ~until:15L e);
-    check Alcotest.(list int) "first window" [ 10 ] (List.rev !order);
-    (* Cancel between bounded runs: the event is already queued below the
-       next window's limit, so [run] must discard it when it surfaces. *)
-    Engine.cancel e h20;
-    ignore (Engine.run e);
-    check Alcotest.(list int) "cancelled event elided" [ 10; 30 ] (List.rev !order);
-    check Alcotest.int "processed" 2 (Engine.events_processed e);
-    check Alcotest.int "cancelled" 1 (Engine.events_cancelled e);
-    Engine.events_skipped e
-  in
-  (* Heap mode discards the dead event when it surfaces; the wheel
-     removed it at cancel time, so nothing surfaces to skip. *)
-  check Alcotest.int "skipped (heap)" 1 (run_with Engine.Binary_heap);
-  check Alcotest.int "skipped (wheel)" 0 (run_with Engine.Timer_wheel)
-
-let test_cancel_compaction () =
-  let e = Engine.create ~queue:Engine.Binary_heap () in
-  let fired = ref [] in
-  (* Far-future victims interleaved with near-term survivors; cancelling
-     every victim pushes the dead fraction over 1/2 on a heap well past
-     the compaction floor, so the dead slots are removed wholesale
-     (skipped stays 0) and the survivors must still fire in order. *)
-  let victims =
-    List.init 200 (fun i ->
-        Engine.at_cancellable e (Int64.of_int (1000 + i)) (fun () -> fired := (-i) :: !fired))
-  in
-  for i = 1 to 10 do
-    Engine.at e (Int64.of_int i) (fun () -> fired := i :: !fired)
-  done;
-  check Alcotest.int "pending before" 210 (Engine.pending e);
-  List.iter (Engine.cancel e) victims;
-  check Alcotest.int "pending after mass cancel" 10 (Engine.pending e);
-  check Alcotest.int "cancelled" 200 (Engine.events_cancelled e);
-  check Alcotest.bool "heap_peak saw the full queue" true (Engine.heap_peak e >= 210);
+  let e = Engine.create () in
+  let order = ref [] in
+  let note x () = order := x :: !order in
+  ignore (Engine.after_cancellable e 10L (note 10));
+  let h20 = Engine.after_cancellable e 20L (note 20) in
+  ignore (Engine.after_cancellable e 30L (note 30));
+  ignore (Engine.run ~until:15L e);
+  check Alcotest.(list int) "first window" [ 10 ] (List.rev !order);
+  (* Cancel between bounded runs: the event is already queued below the
+     next window's limit, and must never surface. *)
+  Engine.cancel e h20;
   ignore (Engine.run e);
-  check Alcotest.(list int) "survivors fire in order" (List.init 10 (fun i -> i + 1))
-    (List.rev !fired);
-  (* Compaction keeps the dead backlog below its trigger floor: at most
-     63 tombstones can survive to be popped one by one. *)
-  check Alcotest.bool "most dead slots removed wholesale" true (Engine.events_skipped e < 64);
-  check Alcotest.int64 "clock still reaches the horizon" 1199L (Engine.now e)
+  check Alcotest.(list int) "cancelled event elided" [ 10; 30 ] (List.rev !order);
+  check Alcotest.int "processed" 2 (Engine.events_processed e);
+  check Alcotest.int "cancelled" 1 (Engine.events_cancelled e);
+  check Alcotest.int "skipped" 0 (Engine.events_skipped e)
 
-(* The wheel twin of the mass-cancel test: no compaction machinery —
-   every cancel unlinks its cell on the spot, so [pending] and the
-   occupancy peak track live events exactly and nothing is skipped. *)
-let test_cancel_mass_wheel () =
+(* Mass cancel: every cancel unlinks its cell on the spot, so [pending]
+   and the occupancy peak track live events exactly and the survivors
+   still fire in order. *)
+let test_cancel_mass () =
   let e = Engine.create () in
   let fired = ref [] in
   let victims =
@@ -266,24 +206,17 @@ let test_cancel_mass_wheel () =
   check Alcotest.int64 "clock still reaches the horizon" 1199L (Engine.now e)
 
 let test_cancel_obs_counters () =
-  let skipped_json queue =
-    let obs = Obs.Registry.create () in
-    let e = Engine.create ~obs ~queue () in
-    let h = Engine.after_cancellable e 5L (fun () -> ()) in
-    Engine.cancel e h;
-    ignore (Engine.run e);
-    let s = Obs.Json.to_string (Obs.Registry.snapshot obs) in
-    let has sub = Str_contains.contains s sub in
-    check Alcotest.bool "events_cancelled exported" true
-      (has "\"engine.events_cancelled\":{\"type\":\"counter\",\"value\":1}");
-    check Alcotest.bool "heap_peak exported" true
-      (has "\"engine.heap_peak\":{\"type\":\"gauge\"");
-    has "\"engine.events_skipped\":{\"type\":\"counter\",\"value\":1}"
-  in
-  check Alcotest.bool "events_skipped counts under the heap" true
-    (skipped_json Engine.Binary_heap);
-  check Alcotest.bool "events_skipped stays zero under the wheel" false
-    (skipped_json Engine.Timer_wheel)
+  let obs = Obs.Registry.create () in
+  let e = Engine.create ~obs () in
+  let h = Engine.after_cancellable e 5L (fun () -> ()) in
+  Engine.cancel e h;
+  ignore (Engine.run e);
+  let s = Obs.Json.to_string (Obs.Registry.snapshot obs) in
+  let has sub = Str_contains.contains s sub in
+  check Alcotest.bool "events_cancelled exported" true
+    (has "\"engine.events_cancelled\":{\"type\":\"counter\",\"value\":1}");
+  check Alcotest.bool "heap_peak exported" true (has "\"engine.heap_peak\":{\"type\":\"gauge\"");
+  check Alcotest.bool "no skipped counter" false (has "engine.events_skipped")
 
 (* Regression: with cancellable retry timers the event queue tracks
    in-flight work, not history. The seed engine left every acked IKC
@@ -351,35 +284,43 @@ let test_wheel_cascade_order () =
     (List.rev !log);
   check Alcotest.int64 "clock at last event" 1_073_741_824L (Engine.now e)
 
-(* Regression (tentpole of the timer-wheel PR): under the heap a
-   cancelled timer beyond a bounded run's limit still occupies the
-   queue as a dead slot, so the run stops its clock at the limit; the
-   wheel unlinks eagerly, and without the shadow dead-times queue it
-   judged its queue drained and jumped the clock to [horizon] —
-   sliding every later relative schedule by the difference. The
-   balance bench caught this via a cancelled retry timer. *)
+(* A cancelled timer beyond a bounded run's limit must not pull the
+   clock past the limit; only a drained unbounded run catches up to
+   the cancelled horizon. A wheel that judged its queue drained once
+   the cancel unlinked the cell jumped to [horizon] early, sliding
+   every later relative schedule; the balance bench caught this via a
+   cancelled retry timer. *)
 let test_cancelled_horizon_clock_parity () =
-  let clocks queue =
-    let e = Engine.create ~queue () in
-    let h =
-      Engine.after_cancellable e 50_000L (fun () -> Alcotest.fail "cancelled event fired")
-    in
-    Engine.cancel e h;
-    ignore (Engine.run ~until:1_000L e);
-    let c1 = Engine.now e in
-    ignore (Engine.run ~until:2_000L e);
-    let c2 = Engine.now e in
-    ignore (Engine.run e);
-    (c1, c2, Engine.now e)
-  in
-  let hc1, hc2, hc3 = clocks Engine.Binary_heap in
-  let wc1, wc2, wc3 = clocks Engine.Timer_wheel in
-  check Alcotest.int64 "bounded run holds at the limit (heap)" 1_000L hc1;
-  check Alcotest.int64 "bounded run holds at the limit (wheel)" 1_000L wc1;
-  check Alcotest.int64 "second bounded run (heap)" 2_000L hc2;
-  check Alcotest.int64 "second bounded run (wheel)" 2_000L wc2;
-  check Alcotest.int64 "drain catches up to the cancelled horizon (heap)" 50_000L hc3;
-  check Alcotest.int64 "drain catches up to the cancelled horizon (wheel)" 50_000L wc3
+  let e = Engine.create () in
+  let h = Engine.after_cancellable e 50_000L (fun () -> Alcotest.fail "cancelled event fired") in
+  Engine.cancel e h;
+  ignore (Engine.run ~until:1_000L e);
+  check Alcotest.int64 "bounded run holds at the limit" 1_000L (Engine.now e);
+  ignore (Engine.run ~until:2_000L e);
+  check Alcotest.int64 "second bounded run" 2_000L (Engine.now e);
+  ignore (Engine.run e);
+  check Alcotest.int64 "drain catches up to the cancelled horizon" 50_000L (Engine.now e)
+
+(* Regression: the same rule after a mass cancel. Far timers cancelled
+   first, then near ones, once emptied the record of cancelled times
+   that bounded runs consulted (a 50%-dead compaction threshold), so
+   the run decided the queue had drained and jumped the clock to the
+   horizon at 50,063: past [until], and far enough that scheduling at
+   2,000 then raised "time in the past". *)
+let test_mass_cancel_bounded_run () =
+  let e = Engine.create () in
+  let never () = Alcotest.fail "cancelled event fired" in
+  let far = List.init 64 (fun i -> Engine.at_cancellable e (Int64.of_int (50_000 + i)) never) in
+  let near = List.init 65 (fun _ -> Engine.at_cancellable e 500L never) in
+  List.iter (Engine.cancel e) far;
+  List.iter (Engine.cancel e) near;
+  ignore (Engine.run ~until:1_000L e);
+  check Alcotest.int64 "bounded run ends at until" 1_000L (Engine.now e);
+  let fired = ref false in
+  Engine.at e 2_000L (fun () -> fired := true);
+  ignore (Engine.run e);
+  check Alcotest.bool "later event fires" true !fired;
+  check Alcotest.int64 "drain catches up to the cancelled horizon" 50_063L (Engine.now e)
 
 (* Regression (satellite of the timer-wheel PR): a quiescent rewind
    left [flushed_*] at their pre-restore high-water marks, so the next
@@ -483,16 +424,15 @@ let suite =
     Alcotest.test_case "engine bounded run, same-time events" `Quick test_engine_until_same_time;
     Alcotest.test_case "engine rejects the past" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine counters" `Quick test_engine_counts;
-    Alcotest.test_case "cancel before fire (heap oracle)" `Quick test_cancel_before_fire;
-    Alcotest.test_case "cancel before fire (wheel)" `Quick test_cancel_before_fire_wheel;
+    Alcotest.test_case "cancel before fire (wheel)" `Quick test_cancel_before_fire;
     Alcotest.test_case "cancel after fire / double cancel" `Quick test_cancel_after_fire_and_double;
     Alcotest.test_case "cancel interleaved with bounded runs" `Quick
       test_cancel_interleaved_with_until;
-    Alcotest.test_case "mass cancel compacts the heap" `Quick test_cancel_compaction;
-    Alcotest.test_case "mass cancel unlinks eagerly (wheel)" `Quick test_cancel_mass_wheel;
+    Alcotest.test_case "mass cancel unlinks eagerly (wheel)" `Quick test_cancel_mass;
     Alcotest.test_case "wheel cascade preserves order" `Quick test_wheel_cascade_order;
-    Alcotest.test_case "cancelled horizon holds the clock (both backends)" `Quick
+    Alcotest.test_case "cancelled horizon holds the clock (bounded runs)" `Quick
       test_cancelled_horizon_clock_parity;
+    Alcotest.test_case "mass cancel keeps run at until" `Quick test_mass_cancel_bounded_run;
     Alcotest.test_case "restore rewinds the Totals flush marks" `Quick
       test_restore_rewinds_flush_marks;
     Alcotest.test_case "cancellation counters exported to obs" `Quick test_cancel_obs_counters;

@@ -299,10 +299,10 @@ let test_bench_validate_rejects () =
       | Error _ -> ())
   in
   reject "unknown schema" {|{"schema":"semperos-nonesuch-1","rows":[]}|};
-  reject "missing top-level key" {|{"schema":"semperos-engine-1"}|};
-  reject "empty row array" {|{"schema":"semperos-engine-1","samples":[]}|};
+  reject "missing top-level key" {|{"schema":"semperos-batch-1","jobs":1}|};
+  reject "empty row array" {|{"schema":"semperos-batch-1","jobs":1,"samples":[]}|};
   reject "row missing a key"
-    {|{"schema":"semperos-engine-1","samples":[{"backend":"heap","op":"drain"}]}|};
+    {|{"schema":"semperos-batch-1","jobs":1,"samples":[{"name":"fig4","cycles_off":1}]}|};
   reject "schema-less document without a path" {|{"table3":[]}|}
 
 (* ------------------------------------------------------------------ *)

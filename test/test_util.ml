@@ -1,106 +1,10 @@
-(* Unit and property tests for the utility substrate: heap, RNG,
-   statistics, table rendering. *)
+(* Unit and property tests for the utility substrate: RNG, statistics,
+   table rendering. *)
 
 open Semperos
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
-
-(* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-
-let int_heap () = Heap.create ~dummy:0 ~compare:Int.compare
-
-let test_heap_basic () =
-  let h = int_heap () in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  check Alcotest.int "length" 3 (Heap.length h);
-  check Alcotest.(option int) "peek" (Some 1) (Heap.peek h);
-  check Alcotest.int "pop 1" 1 (Heap.pop h);
-  check Alcotest.int "pop 3" 3 (Heap.pop h);
-  check Alcotest.int "pop 5" 5 (Heap.pop h);
-  check Alcotest.bool "empty again" true (Heap.is_empty h)
-
-let test_heap_pop_empty () =
-  let h = int_heap () in
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
-      ignore (Heap.pop h))
-
-let test_heap_clear_and_fold () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 4; 2; 9 ];
-  check Alcotest.int "fold sum" 15 (Heap.fold ( + ) 0 h);
-  Heap.clear h;
-  check Alcotest.int "cleared" 0 (Heap.length h)
-
-let test_heap_duplicates () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 2; 2; 1; 2 ];
-  check Alcotest.(list int) "pops sorted with dups" [ 1; 2; 2; 2 ]
-    (List.init 4 (fun _ -> Heap.pop h))
-
-let test_heap_shrink () =
-  let h = int_heap () in
-  check Alcotest.int "initial capacity" 16 (Heap.capacity h);
-  for i = 1 to 1000 do
-    Heap.push h i
-  done;
-  let grown = Heap.capacity h in
-  check Alcotest.bool "capacity grew" true (grown >= 1000);
-  (* Draining must hand storage back: once the population falls below a
-     quarter of capacity, pop halves the array. *)
-  for _ = 1 to 900 do
-    ignore (Heap.pop h)
-  done;
-  check Alcotest.bool "capacity released" true (Heap.capacity h < grown);
-  check Alcotest.bool "capacity still fits contents" true (Heap.capacity h >= Heap.length h);
-  for _ = 1 to 100 do
-    ignore (Heap.pop h)
-  done;
-  check Alcotest.bool "empty heap back at the floor" true (Heap.capacity h <= 16);
-  (* Shrinking must never lose or reorder elements. *)
-  let h2 = int_heap () in
-  for i = 500 downto 1 do
-    Heap.push h2 i
-  done;
-  let out = List.init 500 (fun _ -> Heap.pop h2) in
-  check Alcotest.(list int) "drain still sorted across shrinks" (List.init 500 (fun i -> i + 1))
-    out
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = int_heap () in
-      List.iter (Heap.push h) xs;
-      let out = List.init (List.length xs) (fun _ -> Heap.pop h) in
-      out = List.sort Int.compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap interleaved push/pop keeps min" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = int_heap () in
-      (* Model: sorted list of live elements. *)
-      let model = ref [] in
-      List.for_all
-        (fun (is_pop, x) ->
-          if is_pop then
-            match !model with
-            | [] -> true
-            | m :: rest ->
-              let got = Heap.pop h in
-              model := rest;
-              got = m
-          else begin
-            Heap.push h x;
-            model := List.sort Int.compare (x :: !model);
-            true
-          end)
-        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -213,13 +117,6 @@ let test_series () =
 
 let suite =
   [
-    Alcotest.test_case "heap basic" `Quick test_heap_basic;
-    Alcotest.test_case "heap pop empty" `Quick test_heap_pop_empty;
-    Alcotest.test_case "heap clear/fold" `Quick test_heap_clear_and_fold;
-    Alcotest.test_case "heap duplicates" `Quick test_heap_duplicates;
-    Alcotest.test_case "heap shrinks when drained" `Quick test_heap_shrink;
-    qcheck prop_heap_sorted;
-    qcheck prop_heap_interleaved;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng invalid" `Quick test_rng_invalid;

@@ -27,8 +27,7 @@ let () =
       let open Wallclock in
       check (s.s_name ^ ": events were processed") (s.s_events > 0);
       check (s.s_name ^ ": wall time is non-negative") (s.s_wall_s >= 0.0);
-      check (s.s_name ^ ": heap peak is positive") (s.s_heap_peak > 0);
-      check (s.s_name ^ ": skipped never exceeds cancelled") (s.s_skipped <= s.s_cancelled))
+      check (s.s_name ^ ": heap peak is positive") (s.s_heap_peak > 0))
     samples;
   (* The fig6 smoke point places its single service so that half the
      instances connect across groups: the cancellation machinery must
@@ -44,7 +43,7 @@ let () =
     (fun key -> check (Printf.sprintf "report has %s" key) (contains doc key))
     [
       "\"wall_s\""; "\"events_processed\""; "\"events_per_s\""; "\"events_cancelled\"";
-      "\"events_skipped\""; "\"heap_peak\"";
+      "\"heap_peak\"";
     ];
   if !failed then exit 1;
   print_endline "wallclock-smoke: OK"
