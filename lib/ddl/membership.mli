@@ -9,7 +9,7 @@
     {b Handoff discipline.} A migration moves a PE's capability records
     between two kernels while other traffic is in flight. Replicas must
     therefore obey an ordering contract: a replica is [reassign]ed only
-    {e on receipt of} the migration's [Ik_migrate_update] message, never
+    {e on receipt of} the handoff's [Ik_part_update] message, never
     ahead of it. The two kernels actually exchanging the records use the
     explicit handoff states instead: the source marks the PE with
     {!begin_handoff} when it freezes the VPE, and the mapping flips with
@@ -47,7 +47,7 @@ val seal : t -> unit
 
 (** [reassign t ~pe ~kernel] moves an already-assigned PE to another
     kernel in one step. This is the form used by replicas that merely
-    {e learn} about a migration (the [Ik_migrate_update] receivers and
+    {e learn} about a migration (the [Ik_part_update] receivers and
     the system-level replica used for spawn routing) — call it only on
     receipt of the update, never before. Allowed on sealed tables;
     raises [Not_found] if the PE was never assigned and

@@ -130,26 +130,19 @@ let restore t s =
   t.stats.drops <- s.s_drops;
   t.stats.stalls <- s.s_stalls
 
-(* Only retransmitted traffic may be dropped: op-tagged request/reply
-   pairs, the op-tagged notifications (remove_child, srv_announce —
-   acked via the credit-return piggyback and retried until then), and
-   batch frames (whose op-tagged inner messages are retried
-   individually). Credit returns and shutdown notices have no retry
-   path, so dropping them would wedge the protocols by design. *)
+(* Only retransmitted traffic may be dropped or duplicated: op-tagged
+   request/reply pairs, the op-tagged notifications (remove_child,
+   srv_announce — acked via the credit-return piggyback and retried
+   until then), and batch frames (whose op-tagged inner messages are
+   retried individually). Receivers dedup everything op-tagged. Credit
+   returns have no retry path, so dropping them would wedge the
+   protocols by design. *)
 let droppable = function
   | "obtain_req" | "obtain_reply" | "delegate_req" | "delegate_reply" | "delegate_ack"
-  | "open_sess_req" | "open_sess_reply" | "revoke_req" | "revoke_reply" | "migrate_update"
-  | "migrate_ack" | "migrate_caps" | "remove_child" | "srv_announce" | "batch"
-  | "fleet_state" | "part_update" | "part_records" ->
+  | "open_sess_req" | "open_sess_reply" | "revoke_req" | "revoke_reply" | "migrate_ack"
+  | "remove_child" | "srv_announce" | "batch" | "fleet_state" | "part_update" | "part_records" ->
     true
   | _ -> false
-
-(* Duplication additionally covers the remaining idempotent
-   notification (receivers dedup everything op-tagged, and a duplicate
-   shutdown notice is just logged twice). *)
-let duplicable = function
-  | "shutdown" -> true
-  | tag -> droppable tag
 
 let injector t ~src ~dst ~tag ~now:_ ~arrival =
   let p = t.profile in
@@ -200,7 +193,7 @@ let injector t ~src ~dst ~tag ~now:_ ~arrival =
         else arrival
       in
       let copies =
-        if p.dup_prob > 0.0 && duplicable tag && Rng.float t.rng < p.dup_prob then begin
+        if p.dup_prob > 0.0 && droppable tag && Rng.float t.rng < p.dup_prob then begin
           t.stats.dups <- t.stats.dups + 1;
           [ base; Int64.add base (Int64.of_int (1 + Rng.int t.rng (max 1 p.max_dup_delay))) ]
         end

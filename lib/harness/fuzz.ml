@@ -39,7 +39,7 @@ type outcome = {
   ok_replies : int;
   err_replies : int;
   migrations : int;
-  fleet_ops : int;
+  fleet_transitions : int;
   injected_delays : int;
   injected_dups : int;
   injected_drops : int;
@@ -88,7 +88,7 @@ type state = {
   mutable ok : int;
   mutable errs : int;
   mutable migrations : int;
-  mutable fleet_ops : int;
+  mutable fleet_transitions : int;
   mutable failures : string list;  (* reversed; [finish] restores order *)
   mutable step_no : int;
   (* An exception anywhere in the workload skips the remaining steps and
@@ -139,7 +139,7 @@ let start ?(spec = default_spec) ~workload_seed ~fault_seed () =
       ok = 0;
       errs = 0;
       migrations = 0;
-      fleet_ops = 0;
+      fleet_transitions = 0;
       failures = [];
       step_no = 0;
       crashed = None;
@@ -232,7 +232,7 @@ let fleet_action st =
       st.failures <-
         Printf.sprintf "fleet: %s of kernel %d never completed" kind kernel :: st.failures
     else begin
-      st.fleet_ops <- st.fleet_ops + 1;
+      st.fleet_transitions <- st.fleet_transitions + 1;
       fleet_oracles st
     end
   in
@@ -300,7 +300,7 @@ let step_body st =
       (* Relocation oracle: with the engine drained, every record in
          the migrated VPE's partition must live at the destination
          and none at the source — a lost or misapplied
-         migrate_update/migrate_caps leaves records behind or
+         part_update/part_records leaves records behind or
          routes lookups to a kernel that no longer has them. *)
       let key_pe = Semper_ddl.Key.pe in
       List.iter
@@ -445,7 +445,7 @@ let finish ?inc st =
     ok_replies = st.ok;
     err_replies = st.errs;
     migrations = st.migrations;
-    fleet_ops = st.fleet_ops;
+    fleet_transitions = st.fleet_transitions;
     injected_delays = inj.Fault.delays;
     injected_dups = inj.Fault.dups;
     injected_drops = inj.Fault.drops;
@@ -739,8 +739,8 @@ let outcome_line o =
     "w=%d f=%d calls=%d replies=%d ok=%d err=%d migr=%d fleet=%d inj[delay=%d dup=%d drop=%d \
      stall=%d] retries=%d dups_seen=%d leaked=%d %s"
     o.workload_seed o.fault_seed o.syscalls o.replies o.ok_replies o.err_replies o.migrations
-    o.fleet_ops o.injected_delays o.injected_dups o.injected_drops o.injected_stalls o.retries o.dup_ikc
-    o.caps_leaked
+    o.fleet_transitions o.injected_delays o.injected_dups o.injected_drops o.injected_stalls
+    o.retries o.dup_ikc o.caps_leaked
     (match o.failures with
     | [] -> "PASS"
     | fs -> Printf.sprintf "FAIL(%d)" (List.length fs))

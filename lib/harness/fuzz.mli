@@ -23,11 +23,12 @@
     the migrated VPE's key partition must live at the destination
     kernel and nowhere else, every kernel's membership replica must
     route the PE to the destination with no mid-handoff mark left, and
-    the VPE must be unfrozen. Because the fault plan may drop or
-    duplicate [migrate_update], [migrate_ack], and [migrate_caps], this
-    oracle is what proves the migration protocol's retransmission and
-    deduplication paths converge: a lost transfer would strand records
-    at the source, a misapplied update would misroute lookups. *)
+    the VPE must be unfrozen. A migration is a one-PE handoff wave, and
+    the fault plan may drop or duplicate its [part_update],
+    [part_records] and [migrate_ack] messages, so this oracle is what
+    proves the wave's retransmission and deduplication paths converge:
+    a lost record wave would strand records at the source, a misapplied
+    update would misroute lookups. *)
 
 type spec = {
   kernels : int;
@@ -75,7 +76,7 @@ type outcome = {
   ok_replies : int;
   err_replies : int;
   migrations : int;
-  fleet_ops : int;  (** completed fleet join/drain transitions *)
+  fleet_transitions : int;  (** completed fleet join/drain transitions *)
   injected_delays : int;
   injected_dups : int;
   injected_drops : int;

@@ -137,47 +137,22 @@ type pending =
      own op id so the responder can deduplicate redeliveries and a
      duplicated reply cannot double-decrement [outstanding]. *)
   | P_revoke_msg of { rop : revoke_op }
-  | P_migrate of migrate_op
-  (* Phase 2 of a migration: the capability-record transfer awaiting
-     the destination's install acknowledgement (retransmitted through
-     the regular [register_retry] path). *)
-  | P_migrate_caps of { mc_vpe : Vpe.t; mc_done : unit -> unit }
-  (* Fleet lifecycle broadcast ([Ik_fleet_state]) awaiting every peer's
-     ack; same shape as a migrate-update broadcast. *)
-  | P_fleet of fleet_op
-  (* Phase 1 of a bulk partition handoff: the [Ik_part_update]
-     broadcast awaiting every peer's ack before the records move. *)
-  | P_part of part_op
-  (* Phase 2 of a bulk partition handoff: the framed record wave
-     awaiting the destination's install acknowledgement. *)
-  | P_part_caps of { pc_vpes : Vpe.t list; pc_done : unit -> unit }
+  (* An acked broadcast ([acked_broadcast]) awaiting every peer's ack:
+     a fleet lifecycle announcement, or phase 1 of a partition handoff
+     (the membership flip). *)
+  | P_bcast of bcast_op
+  (* Phase 2 of a partition handoff: the framed record wave awaiting
+     the destination's install acknowledgement. *)
+  | P_part_caps of { pc_done : unit -> unit }
 
-and fleet_op = {
-  f_peers : (int, unit) Hashtbl.t;
-  f_done : unit -> unit;
-  mutable f_timer : Engine.handle option;
-}
-
-and part_op = {
-  p_pes : int list;
-  p_vpes : Vpe.t list;
-  p_dst : int;
-  p_peers : (int, unit) Hashtbl.t;
-  p_done : unit -> unit;
-  mutable p_timer : Engine.handle option;
-}
-
-and migrate_op = {
-  m_vpe : Vpe.t;
-  m_dst : int;
-  (* Peers whose [Ik_migrate_ack] is still missing, keyed by kernel
-     id: acks arrive in arbitrary order and each must be matched
-     (and deduplicated) in O(1), not by scanning a list. *)
-  pending_peers : (int, unit) Hashtbl.t;
-  done_k : unit -> unit;
-  (* Pending broadcast-retransmission tick, cancelled once the last
-     ack is in. *)
-  mutable mtimer : Engine.handle option;
+and bcast_op = {
+  (* Peers whose ack is still missing, keyed by kernel id: acks arrive
+     in arbitrary order and each must be matched (and deduplicated) in
+     O(1), not by scanning a list. *)
+  b_peers : (int, unit) Hashtbl.t;
+  b_done : unit -> unit;
+  (* Pending retransmission tick, cancelled once the last ack is in. *)
+  mutable b_timer : Engine.handle option;
 }
 
 (* Responder-side record of an op-tagged request: op ids are globally
@@ -602,8 +577,6 @@ let trace_ints t ~kind ~op ~src ~dst layout a b c =
 let d_revoke_sweep = Obs.Trace.layout "deleted=%d"
 let d_revoke_cont = Obs.Trace.layout "absorbed=%d marked=%d"
 let d_revoke_mark = Obs.Trace.layout "marked=%d remote_msgs=%d"
-let d_migrate_start = Obs.Trace.layout "vpe%d"
-let d_migrate_transfer = Obs.Trace.layout "vpe%d caps=%d"
 let d_part_transfer = Obs.Trace.layout "pes=%d vpes=%d caps=%d"
 let d_handoff_start = Obs.Trace.layout "pes=%d vpes=%d"
 
@@ -618,16 +591,14 @@ let ikc_op : P.ikc -> int = function
   | P.Ik_open_sess_reply { op; _ }
   | P.Ik_revoke_req { op; _ }
   | P.Ik_revoke_reply { op; _ }
-  | P.Ik_migrate_update { op; _ }
   | P.Ik_migrate_ack { op }
-  | P.Ik_migrate_caps { op; _ }
   | P.Ik_remove_child { op; _ }
   | P.Ik_srv_announce { op; _ }
   | P.Ik_fleet_state { op; _ }
   | P.Ik_part_update { op; _ }
   | P.Ik_part_records { op; _ } ->
     op
-  | P.Ik_shutdown _ | P.Ik_batch _ -> -1
+  | P.Ik_batch _ -> -1
 
 (* How long idempotency-cache entries must be kept: once the full retry
    budget plus slack has elapsed, no retransmission of the request (or
@@ -850,6 +821,25 @@ and return_credit ?ack_op t ~src_kernel =
    assumption the lost message's credit was leaked with it — so bounded
    drops cannot wedge the in-flight window permanently. *)
 
+(* The reliable unicast: send [msg] now and retransmit it until the
+   reply (or delivery ack) for [op] clears it. *)
+and send_retried t op ~dst msg =
+  ikc_send t ~dst msg;
+  register_retry t op ~dst msg
+
+(* One revoke request of operation [rop], under its own message op
+   (see [P_revoke_msg]). *)
+and send_revoke_req t rop ~dst keys =
+  let op = fresh_op t in
+  Hashtbl.add t.pending_ops op (P_revoke_msg { rop });
+  send_retried t op ~dst (P.Ik_revoke_req { op; src_kernel = t.id; keys })
+
+(* Reliable unlink notification: drop [child_key] from its parent's
+   child list at [dst]. *)
+and send_unlink t ~dst ~parent_key ~child_key =
+  let op = fresh_op t in
+  send_retried t op ~dst (P.Ik_remove_child { op; parent_key; child_key })
+
 and register_retry t op ~dst msg =
   let st = { rdst = dst; rmsg = msg; rstart = Engine.now t.engine; rattempts = 0; rtimer = None } in
   Hashtbl.replace t.retry_msgs op st;
@@ -923,30 +913,18 @@ and fail_exhausted_op t op =
       Mapdb.remove t.mapdb child_key;
       Obs.Registry.incr t.ctr.caps_deleted;
       (match cap.Cap.parent with
-      | Some parent_key ->
-        let unlink_op = fresh_op t in
-        let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-        ikc_send t ~dst:src_kernel msg;
-        register_retry t unlink_op ~dst:src_kernel msg
+      | Some parent_key -> send_unlink t ~dst:src_kernel ~parent_key ~child_key
       | None -> ())
     | None -> ());
     Thread_pool.release t.threads
-  | Some (P_migrate_caps { mc_vpe; mc_done }) ->
+  | Some (P_part_caps { pc_done }) ->
     (* The destination never confirmed the install: the records are in
        limbo. Surface it loudly and release the caller — the audit layer
        will flag the leaked records. *)
     Hashtbl.remove t.pending_ops op;
-    Log.err (fun m ->
-        m "kernel %d: migrate_caps for VPE %d exhausted retries; records lost" t.id
-          mc_vpe.Vpe.id);
-    mc_done ()
-  | Some (P_part_caps { pc_done; _ }) ->
-    (* Same limbo as an exhausted migrate_caps, for a whole partition
-       wave. *)
-    Hashtbl.remove t.pending_ops op;
     Log.err (fun m -> m "kernel %d: part_records exhausted retries; records lost" t.id);
     pc_done ()
-  | Some (P_revoke _ | P_migrate _ | P_fleet _ | P_part _) ->
+  | Some (P_revoke _ | P_bcast _) ->
     (* Not retried through [register_retry]; nothing to fail. *)
     ()
 
@@ -1069,7 +1047,7 @@ and revoke_release t (op : revoke_op) =
    between kernels, so neither marking locally nor sending the revoke
    request can reach them yet. Hold the operation open (one outstanding
    unit) and re-resolve once the handoff completes — handoffs finish in
-   bounded time because the migrate transfer itself is op-tagged and
+   bounded time because the record wave itself is op-tagged and
    retried. [root_unlink] carries the surviving root of a children-only
    revoke, recorded only if the child ends up remote (local children
    are unlinked by the sweep). *)
@@ -1098,14 +1076,7 @@ and defer_revoke_child t (op : revoke_op) ?root_unlink child_key =
           in
           ( cost,
             fun () ->
-              List.iter
-                (fun (dst, keys) ->
-                  let msg_op = fresh_op t in
-                  Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
-                  let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
-                  ikc_send t ~dst msg;
-                  register_retry t msg_op ~dst msg)
-                messages;
+              List.iter (fun (dst, keys) -> send_revoke_req t op ~dst keys) messages;
               revoke_release t op ))
     | owner ->
       (* Resolved to another kernel: the outstanding unit held for the
@@ -1115,12 +1086,7 @@ and defer_revoke_child t (op : revoke_op) ?root_unlink child_key =
       | None -> ());
       job t (fun () ->
           ( (c t).Cost.revoke_send,
-            fun () ->
-              let msg_op = fresh_op t in
-              Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
-              let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys = [ child_key ] } in
-              ikc_send t ~dst:owner msg;
-              register_retry t msg_op ~dst:owner msg ))
+            fun () -> send_revoke_req t op ~dst:owner [ child_key ] ))
   in
   Engine.after t.engine 200L retry
 
@@ -1199,11 +1165,7 @@ and complete_revoke t (op : revoke_op) =
              one lost [Ik_remove_child] left a dangling remote child
              link that only the cross-kernel audit noticed. *)
           List.iter
-            (fun (dst, parent_key, child_key) ->
-              let unlink_op = fresh_op t in
-              let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-              ikc_send t ~dst msg;
-              register_retry t unlink_op ~dst msg)
+            (fun (dst, parent_key, child_key) -> send_unlink t ~dst ~parent_key ~child_key)
             !remote_unlinks;
           Hashtbl.remove t.pending_ops op.rop_id;
           let waiters = op.on_complete in
@@ -1272,14 +1234,7 @@ and absorb_continuation t (op : revoke_op) keys =
         fun () ->
           trace_ints t ~kind:"revoke_cont" ~op:op.rop_id ~src:t.id ~dst:(-1) d_revoke_cont
             (List.length keys) visited 0;
-          List.iter
-            (fun (dst, keys) ->
-              let msg_op = fresh_op t in
-              Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
-              let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
-              ikc_send t ~dst msg;
-              register_retry t msg_op ~dst msg)
-            messages;
+          List.iter (fun (dst, keys) -> send_revoke_req t op ~dst keys) messages;
           revoke_release t op ))
 
 (* Entry point for both revoke syscalls and incoming revoke requests.
@@ -1384,17 +1339,7 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
         fun () ->
           trace_ints t ~kind:"revoke_mark" ~op:op.rop_id ~src:t.id ~dst:(-1) d_revoke_mark
             visited (List.length messages) 0;
-          List.iter
-            (fun (dst, keys) ->
-              (* Per-message op id: the reply resolves back to the
-                 operation, and a redelivered reply finds the message op
-                 already retired instead of double-decrementing. *)
-              let msg_op = fresh_op t in
-              Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
-              let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
-              ikc_send t ~dst msg;
-              register_retry t msg_op ~dst msg)
-            messages;
+          List.iter (fun (dst, keys) -> send_revoke_req t op ~dst keys) messages;
           if op.outstanding = 0 then complete_revoke t op ))
 
 (* ------------------------------------------------------------------ *)
@@ -1435,8 +1380,7 @@ and remote_obtain t ~(client : Vpe.t) ~dst_kernel ~donor =
     P.Ik_obtain_req
       { op; src_kernel = t.id; obj_reserved; client_pe = client.Vpe.pe; client_vpe = client.Vpe.id; donor }
   in
-  ikc_send t ~dst:dst_kernel msg;
-  register_retry t op ~dst:dst_kernel msg
+  send_retried t op ~dst:dst_kernel msg
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handling                                                    *)
@@ -1490,12 +1434,9 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                 Hashtbl.iter
                   (fun kid _ ->
                     if kid <> t.id then begin
-                      let ann_op = fresh_op t in
-                      let msg =
-                        P.Ik_srv_announce { op = ann_op; name; srv_key = key; kernel = t.id }
-                      in
-                      ikc_send t ~dst:kid msg;
-                      register_retry t ann_op ~dst:kid msg
+                      let op = fresh_op t in
+                      send_retried t op ~dst:kid
+                        (P.Ik_srv_announce { op; name; srv_key = key; kernel = t.id })
                     end)
                   t.registry;
                 finish_syscall t vpe (P.R_sel sel) )
@@ -1598,8 +1539,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                 let msg =
                   P.Ik_open_sess_req { op; src_kernel = t.id; srv_key; sess_key; client_vpe = vpe.Vpe.id }
                 in
-                ikc_send t ~dst:srv_kernel msg;
-                register_retry t op ~dst:srv_kernel msg )
+                send_retried t op ~dst:srv_kernel msg )
           end)
   | P.Sys_obtain { sess; args } ->
     job t (fun () ->
@@ -1699,8 +1639,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                         recv = P.Recv_vpe recv_vpe;
                       }
                   in
-                  ikc_send t ~dst:recv.Vpe.kernel msg;
-                  register_retry t op ~dst:recv.Vpe.kernel msg )
+                  send_retried t op ~dst:recv.Vpe.kernel msg )
             end))
   | P.Sys_delegate { sess; sel; args } ->
     job t (fun () ->
@@ -1746,8 +1685,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                           recv = P.Recv_service { srv_key = srv; ident; args };
                         }
                     in
-                    ikc_send t ~dst:srv_kernel msg;
-                    register_retry t op ~dst:srv_kernel msg )
+                    send_retried t op ~dst:srv_kernel msg )
               end)
           | Cap.Vpe_cap _ | Cap.Mem_cap _ | Cap.Srv_cap _ | Cap.Rgate_cap _ | Cap.Sgate_cap _
           | Cap.Kernel_cap _ ->
@@ -1773,7 +1711,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                   other.on_complete <- (fun () -> finish_syscall t vpe P.R_ok) :: other.on_complete )
             | Some
                 ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke_msg _
-                | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
+                | P_bcast _ | P_part_caps _ )
             | None ->
               (dispatch, fun () -> finish_syscall t vpe P.R_ok))
           | Cap.Alive ->
@@ -1943,8 +1881,8 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               revoke_release t rop
             | Some (P_revoke rop) -> revoke_release t rop
             | Some
-                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_migrate _
-                | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
+                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_bcast _
+                | P_part_caps _ )
             | None ->
               (* Redelivered reply for a message op already retired. *)
               Obs.Registry.incr t.ctr.dup_ikc) ))
@@ -1958,80 +1896,26 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                retransmission timer. *)
             return_credit t ~ack_op:op ~src_kernel;
             Mapdb.remove_child t.mapdb ~parent:parent_key child_key ))
-  | P.Ik_migrate_update { op; src_kernel = origin; pe; new_kernel } ->
-    if remote_dup t ~src_kernel ~op then ()
-    else
-      job t (fun () ->
-          ( 200L,
-            fun () ->
-              return_credit t ~src_kernel;
-              (* Update this kernel's replica of the membership table. The
-                 destination kernel marks the PE mid-handoff instead of
-                 reassigning: it must not route lookups to itself until the
-                 capability records actually arrive (Ik_migrate_caps). The
-                 guards keep a redelivered update idempotent. *)
-              if new_kernel = t.id then begin
-                if
-                  (not (Membership.in_handoff t.membership pe))
-                  && (try Membership.kernel_of_pe t.membership pe <> t.id
-                      with Not_found -> false)
-                then Membership.begin_handoff t.membership ~pe
-              end
-              else if Membership.in_handoff t.membership pe then
-                Membership.complete_handoff t.membership ~pe ~kernel:new_kernel
-              else Membership.reassign t.membership ~pe ~kernel:new_kernel;
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_migrate_ack { op } ->
     job t (fun () ->
         ( 100L,
           fun () ->
             return_credit t ~src_kernel;
             (match Hashtbl.find_opt t.pending_ops op with
-            | Some (P_migrate m) ->
+            | Some (P_bcast b) ->
               (* Acks are deduplicated by sender: a redelivered ack from
                  an already-counted peer must not skip a pending one. *)
-              if Hashtbl.mem m.pending_peers src_kernel then begin
-                Hashtbl.remove m.pending_peers src_kernel;
-                if Hashtbl.length m.pending_peers = 0 then begin
+              if Hashtbl.mem b.b_peers src_kernel then begin
+                Hashtbl.remove b.b_peers src_kernel;
+                if Hashtbl.length b.b_peers = 0 then begin
                   Hashtbl.remove t.pending_ops op;
-                  Option.iter (Engine.cancel t.engine) m.mtimer;
-                  m.mtimer <- None;
-                  migrate_transfer t ~vpe:m.m_vpe ~dst:m.m_dst ~done_k:m.done_k
+                  Option.iter (Engine.cancel t.engine) b.b_timer;
+                  b.b_timer <- None;
+                  b.b_done ()
                 end
               end
               else Obs.Registry.incr t.ctr.dup_ikc
-            | Some (P_migrate_caps { mc_done; _ }) ->
-              (* The destination installed the transferred records. *)
-              Hashtbl.remove t.pending_ops op;
-              clear_retry t op;
-              mc_done ()
-            | Some (P_fleet f) ->
-              (* Lifecycle broadcast: same ack-counting discipline as a
-                 migrate-update broadcast. *)
-              if Hashtbl.mem f.f_peers src_kernel then begin
-                Hashtbl.remove f.f_peers src_kernel;
-                if Hashtbl.length f.f_peers = 0 then begin
-                  Hashtbl.remove t.pending_ops op;
-                  Option.iter (Engine.cancel t.engine) f.f_timer;
-                  f.f_timer <- None;
-                  f.f_done ()
-                end
-              end
-              else Obs.Registry.incr t.ctr.dup_ikc
-            | Some (P_part p) ->
-              (* Bulk partition-update broadcast: once every replica has
-                 flipped (or marked mid-handoff), ship the records. *)
-              if Hashtbl.mem p.p_peers src_kernel then begin
-                Hashtbl.remove p.p_peers src_kernel;
-                if Hashtbl.length p.p_peers = 0 then begin
-                  Hashtbl.remove t.pending_ops op;
-                  Option.iter (Engine.cancel t.engine) p.p_timer;
-                  p.p_timer <- None;
-                  part_transfer t ~pes:p.p_pes ~vpes:p.p_vpes ~dst:p.p_dst ~done_k:p.p_done
-                end
-              end
-              else Obs.Registry.incr t.ctr.dup_ikc
-            | Some (P_part_caps { pc_done; _ }) ->
+            | Some (P_part_caps { pc_done }) ->
               (* The destination installed the partition wave. *)
               Hashtbl.remove t.pending_ops op;
               clear_retry t op;
@@ -2040,47 +1924,8 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                 ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _
                 | P_revoke_msg _ )
             | None ->
-              (* Redelivered ack after the migration completed. *)
+              (* Redelivered ack after the broadcast or wave completed. *)
               Obs.Registry.incr t.ctr.dup_ikc) ))
-  | P.Ik_migrate_caps { op; src_kernel = origin; vpe = vid; records } ->
-    if remote_dup t ~src_kernel ~op then ()
-    else
-      job t (fun () ->
-          (* Installing the transferred records costs time proportional to
-             their number. *)
-          ( Int64.mul (Int64.of_int (List.length records)) 150L,
-            fun () ->
-              return_credit t ~src_kernel;
-              List.iter
-                (fun (r : P.migrated_cap) ->
-                  let cap =
-                    Cap.make ~key:r.P.m_key ~kind:r.P.m_kind ~owner_vpe:r.P.m_owner
-                      ?parent:r.P.m_parent ()
-                  in
-                  (* Future keys minted here must not collide with object
-                     ids allocated by the previous owning kernel. *)
-                  Mapdb.bump_obj t.mapdb (Key.obj r.P.m_key);
-                  Mapdb.insert t.mapdb cap;
-                  Mapdb.set_children t.mapdb r.P.m_key r.P.m_children)
-                records;
-              (* The VPE is ours now. *)
-              (match t.env.locate_vpe vid with
-              | Some vpe ->
-                Hashtbl.replace t.vpes vid vpe;
-                Thread_pool.add_vpe_thread t.threads;
-                (* Only now can lookups route to this kernel: clear the
-                   mid-handoff mark set when the membership update arrived.
-                   (Tests deliver this IKC directly, without a preceding
-                   update, so fall back to a plain reassign.) *)
-                (if Membership.in_handoff t.membership vpe.Vpe.pe then
-                   Membership.complete_handoff t.membership ~pe:vpe.Vpe.pe ~kernel:t.id
-                 else if
-                   try Membership.kernel_of_pe t.membership vpe.Vpe.pe <> t.id
-                   with Not_found -> true
-                 then Membership.reassign t.membership ~pe:vpe.Vpe.pe ~kernel:t.id);
-                vpe.Vpe.frozen <- false (* unfreeze *)
-              | None -> Log.err (fun m -> m "kernel %d: migrated VPE %d unknown" t.id vid));
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_srv_announce { op; name; srv_key; kernel = _ } ->
     job t (fun () ->
         ( 100L,
@@ -2141,7 +1986,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
     else
       job t (fun () ->
           (* Installing the wave costs time proportional to the records
-             carried, like a migrate_caps install. *)
+             carried. *)
           ( Int64.mul (Int64.of_int (max 1 (List.length records))) 150L,
             fun () ->
               return_credit t ~src_kernel;
@@ -2179,12 +2024,6 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                   then Membership.reassign t.membership ~pe ~kernel:t.id)
                 pes;
               finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
-  | P.Ik_shutdown { src_kernel = origin } ->
-    job t (fun () ->
-        ( 100L,
-          fun () ->
-            return_credit t ~src_kernel;
-            Log.debug (fun m -> m "kernel %d: shutdown notice from %d" t.id origin) ))
   | P.Ik_batch { src_kernel = _; msgs } ->
     (* The frame consumed ONE sender credit, yet each inner delivery
        returns one: record the surplus so [return_credit] absorbs all
@@ -2258,11 +2097,7 @@ and handle_obtain_reply t ~op ~result =
       if not (Vpe.is_alive client) then begin
         (* Orphaned child at the donor side (paper §4.3.2, "Orphaned"):
            notify the donor's kernel so it can unlink promptly. *)
-        let unlink_op = fresh_op t in
-        let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-        let dst = owner_kernel t parent_key in
-        ikc_send t ~dst msg;
-        register_retry t unlink_op ~dst msg;
+        send_unlink t ~dst:(owner_kernel t parent_key) ~parent_key ~child_key;
         Thread_pool.release t.threads
       end
       else begin
@@ -2274,7 +2109,7 @@ and handle_obtain_reply t ~op ~result =
       end)
   | Some
       ( P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _
-      | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
+      | P_bcast _ | P_part_caps _ )
   | None ->
     (* Redelivered reply: the obtain already completed. *)
     Obs.Registry.incr t.ctr.dup_ikc;
@@ -2364,8 +2199,8 @@ and handle_delegate_reply t ~op ~result =
         send_ack false child_key;
         finish_syscall t client (P.R_err P.E_in_revocation)))
   | Some
-      ( P_obtain _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_migrate _
-      | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
+      ( P_obtain _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_bcast _
+      | P_part_caps _ )
   | None -> (
     (* Redelivered reply after the handshake completed here: re-send
        the cached ack in case the original ack was lost. *)
@@ -2403,18 +2238,14 @@ and handle_delegate_ack t ~op ~child_key ~commit =
           Mapdb.remove t.mapdb child_key;
           Obs.Registry.incr t.ctr.caps_deleted;
           match cap.Cap.parent with
-          | Some parent_key ->
-            let unlink_op = fresh_op t in
-            let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-            ikc_send t ~dst:src_kernel msg;
-            register_retry t unlink_op ~dst:src_kernel msg
+          | Some parent_key -> send_unlink t ~dst:src_kernel ~parent_key ~child_key
           | None -> ())
       end);
     (* Handshake over: release the thread held since the request. *)
     Thread_pool.release t.threads)
   | Some
-      ( P_obtain _ | P_delegate_src _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_migrate _
-      | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
+      ( P_obtain _ | P_delegate_src _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_bcast _
+      | P_part_caps _ )
   | None ->
     (* Redelivered ack: the handshake already completed and its thread
        was already released — releasing again would corrupt the pool. *)
@@ -2450,10 +2281,7 @@ and handle_open_sess_reply t ~op ~result =
     | Error e -> finish_syscall t client (P.R_err e)
     | Ok ident ->
       if not (Vpe.is_alive client) then begin
-        let unlink_op = fresh_op t in
-        let msg = P.Ik_remove_child { op = unlink_op; parent_key = srv_key; child_key = sess_key } in
-        ikc_send t ~dst:srv_kernel msg;
-        register_retry t unlink_op ~dst:srv_kernel msg;
+        send_unlink t ~dst:srv_kernel ~parent_key:srv_key ~child_key:sess_key;
         Thread_pool.release t.threads
       end
       else begin
@@ -2466,49 +2294,11 @@ and handle_open_sess_reply t ~op ~result =
       end)
   | Some
       ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _
-      | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
+      | P_bcast _ | P_part_caps _ )
   | None ->
     (* Redelivered reply: the session open already completed. *)
     Obs.Registry.incr t.ctr.dup_ikc;
     Log.debug (fun m -> m "kernel %d: duplicate open-session reply for op %d" t.id op)
-
-(* Phase 2 of PE migration: hand the capability records and the VPE
-   over to the destination kernel. *)
-and migrate_transfer t ~(vpe : Vpe.t) ~dst ~done_k =
-  job t (fun () ->
-      (* Extract every capability whose key partition is the migrating
-         PE: with the hosting invariant those are exactly the VPE's. *)
-      let records =
-        List.map
-          (fun (cap : Cap.t) ->
-            {
-              P.m_key = cap.Cap.key;
-              m_kind = cap.Cap.kind;
-              m_owner = cap.Cap.owner_vpe;
-              m_parent = cap.Cap.parent;
-              m_children = Mapdb.children t.mapdb cap.Cap.key;
-            })
-          (Mapdb.caps_of_pe t.mapdb ~pe:vpe.Vpe.pe)
-      in
-      List.iter (fun (r : P.migrated_cap) -> Mapdb.remove t.mapdb r.P.m_key) records;
-      Hashtbl.remove t.vpes vpe.Vpe.id;
-      Thread_pool.remove_vpe_thread t.threads;
-      vpe.Vpe.kernel <- dst;
-      (* The records are gone from this kernel: our own replica may now
-         route the PE to its new owner. *)
-      Membership.complete_handoff t.membership ~pe:vpe.Vpe.pe ~kernel:dst;
-      ( Int64.mul (Int64.of_int (List.length records)) 150L,
-        fun () ->
-          trace_ints t ~kind:"migrate_transfer" ~op:(-1) ~src:t.id ~dst d_migrate_transfer
-            vpe.Vpe.id (List.length records) 0;
-          let op = fresh_op t in
-          Hashtbl.add t.pending_ops op (P_migrate_caps { mc_vpe = vpe; mc_done = done_k });
-          let msg = P.Ik_migrate_caps { op; src_kernel = t.id; vpe = vpe.Vpe.id; records } in
-          ikc_send t ~dst msg;
-          (* The transfer is retransmitted until the destination acks the
-             install — a lost Ik_migrate_caps would otherwise leak every
-             record of the VPE. [done_k] fires on that ack. *)
-          register_retry t op ~dst msg ))
 
 (* Phase 2 of a bulk partition handoff: extract every record of the
    moving partitions, detach their VPEs, and ship the whole set to the
@@ -2545,19 +2335,13 @@ and part_transfer t ~pes ~(vpes : Vpe.t list) ~dst ~done_k =
           trace_ints t ~kind:"part_transfer" ~op:(-1) ~src:t.id ~dst d_part_transfer
             (List.length pes) (List.length vpes) (List.length records);
           let op = fresh_op t in
-          Hashtbl.add t.pending_ops op (P_part_caps { pc_vpes = vpes; pc_done = done_k });
-          let msg =
-            P.Ik_part_records
-              {
-                op;
-                src_kernel = t.id;
-                pes;
-                vpes = List.map (fun (v : Vpe.t) -> v.Vpe.id) vpes;
-                records;
-              }
-          in
-          ikc_send t ~dst msg;
-          register_retry t op ~dst msg ))
+          Hashtbl.add t.pending_ops op (P_part_caps { pc_done = done_k });
+          (* Retransmitted until the destination acks the install — a
+             lost wave would otherwise leak every record it carries.
+             [done_k] fires on that ack. *)
+          send_retried t op ~dst
+            (P.Ik_part_records
+               { op; src_kernel = t.id; pes; vpes = List.map (fun (v : Vpe.t) -> v.Vpe.id) vpes; records }) ))
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -2603,75 +2387,63 @@ let install_new_cap t ~owner ~kind ?parent () =
   let sel = install_cap t cap in
   (sel, key)
 
-(* PE migration (the paper's named future work, §3.2). The system must
-   be quiescent with respect to this VPE: no in-flight operations may
-   reference its capabilities. Phase 1 freezes the VPE and broadcasts
-   the membership update to every kernel; once all acks are in, phase 2
-   transfers the capability records. *)
-let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
-  if dst = t.id then invalid_arg "Kernel.migrate_vpe: already managed here";
-  if not (Hashtbl.mem t.registry dst) then invalid_arg "Kernel.migrate_vpe: no such kernel";
-  (* Safety gate: never migrate onto a kernel that is not (or no
-     longer) serving — a mid-leave destination would strand the VPE. *)
-  if Membership.kernel_state t.membership dst <> Membership.Active then
-    invalid_arg "Kernel.migrate_vpe: destination kernel is not active";
-  if not (Vpe.is_alive vpe) then invalid_arg "Kernel.migrate_vpe: VPE is dead";
-  if vpe.Vpe.syscall_pending then invalid_arg "Kernel.migrate_vpe: VPE has a syscall in flight";
-  if vpe.Vpe.frozen then invalid_arg "Kernel.migrate_vpe: VPE is already migrating";
-  (* Freeze: syscalls are held at System level while records are in
-     flight. The source replica marks the PE mid-handoff rather than
-     reassigning — lookups that race the transfer fail loudly instead of
-     misrouting (the records are still here until [migrate_transfer]). *)
-  vpe.Vpe.frozen <- true;
-  Membership.begin_handoff t.membership ~pe:vpe.Vpe.pe;
-  trace_ints t ~kind:"migrate_start" ~op:(-1) ~src:t.id ~dst d_migrate_start vpe.Vpe.id 0 0;
+(* The acked broadcast: send [make op] to every peer and run [done_k]
+   once each has acked with [Ik_migrate_ack]. The send job charges
+   [per_peer] cycles per peer. Peers that have not acked are resent the
+   message on a backoff tick — messages are idempotent and acks dedup
+   by sender — in kernel-id order, so table iteration order never leaks
+   into the message schedule. The tick is a cancellable timer,
+   cancelled when the last ack lands, so a fault-free broadcast leaves
+   nothing queued. An exhausted budget is counted and traced per
+   unacked peer; the operation stays pending, so a late ack still
+   completes it. *)
+let acked_broadcast t ~per_peer make done_k =
   let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
   match peers with
-  | [] ->
-    (* Single-kernel system: nothing to broadcast. *)
-    migrate_transfer t ~vpe ~dst ~done_k
+  | [] -> done_k ()
   | peers ->
     let op = fresh_op t in
-    let pending_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace pending_peers kid ()) peers;
-    let mig = { m_vpe = vpe; m_dst = dst; pending_peers; done_k; mtimer = None } in
-    Hashtbl.add t.pending_ops op (P_migrate mig);
-    let update = P.Ik_migrate_update { op; src_kernel = t.id; pe = vpe.Vpe.pe; new_kernel = dst } in
+    let b_peers = Hashtbl.create (List.length peers) in
+    List.iter (fun kid -> Hashtbl.replace b_peers kid ()) peers;
+    let bop = { b_peers; b_done = done_k; b_timer = None } in
+    Hashtbl.add t.pending_ops op (P_bcast bop);
+    let msg = make op in
+    let rec tick attempts () =
+      match Hashtbl.find_opt t.pending_ops op with
+      | Some (P_bcast b) ->
+        let unacked = List.sort compare (Hashtbl.fold (fun kid () acc -> kid :: acc) b.b_peers []) in
+        if attempts < (c t).Cost.retry_max then begin
+          List.iter
+            (fun kid ->
+              Obs.Registry.incr t.ctr.retries;
+              receive_credit t ~peer:kid;
+              ikc_send t ~dst:kid msg)
+            unacked;
+          b.b_timer <-
+            Some
+              (Engine.after_cancellable t.engine
+                 (retry_interval (c t) (attempts + 1))
+                 (tick (attempts + 1)))
+        end
+        else begin
+          b.b_timer <- None;
+          Obs.Registry.incr t.ctr.retry_exhausted;
+          List.iter
+            (fun kid -> trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:kid (P.ikc_name msg))
+            unacked
+        end
+      | Some _ | None -> ()
+    in
     job t (fun () ->
-        ( Int64.mul (Int64.of_int (List.length peers)) 200L,
+        ( Int64.mul (Int64.of_int (List.length peers)) per_peer,
           fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
-            (* Retransmit the update to peers that have not acked yet;
-               updates are idempotent and acks dedup by sender. Resends
-               go out in kernel-id order — table iteration order must
-               not leak into the message schedule. The tick is a
-               cancellable timer (cancelled when the last ack lands),
-               so a fault-free migration leaves nothing queued. *)
-            if (c t).Cost.retry_max > 0 then begin
-              let rec tick attempts () =
-                match Hashtbl.find_opt t.pending_ops op with
-                | Some (P_migrate m) when attempts < (c t).Cost.retry_max ->
-                  List.iter
-                    (fun kid ->
-                      Obs.Registry.incr t.ctr.retries;
-                      receive_credit t ~peer:kid;
-                      ikc_send t ~dst:kid update)
-                    (List.sort compare
-                       (Hashtbl.fold (fun kid () acc -> kid :: acc) m.pending_peers []));
-                  m.mtimer <-
-                    Some
-                      (Engine.after_cancellable t.engine
-                         (retry_interval (c t) (attempts + 1))
-                         (tick (attempts + 1)))
-                | Some _ | None -> ()
-              in
-              mig.mtimer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0))
-            end ))
+            List.iter (fun kid -> ikc_send t ~dst:kid msg) peers;
+            if (c t).Cost.retry_max > 0 then
+              bop.b_timer <-
+                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0)) ))
 
 (* Reliable fleet-state broadcast: record the transition on our own
-   replica, tell every peer, and run [done_k] once all have acked.
-   Same retransmission discipline as a migrate-update broadcast. *)
+   replica, tell every peer, and run [done_k] once all have acked. *)
 let announce_state t ~kernel state done_k =
   Membership.set_kernel_state t.membership ~kernel state;
   trace_event t ~kind:"fleet_state" ~op:(-1) ~src:t.id ~dst:kernel
@@ -2681,45 +2453,15 @@ let announce_state t ~kernel state done_k =
     | Membership.Active -> "active"
     | Membership.Draining -> "draining"
     | Membership.Retired -> "retired");
-  let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
-  match peers with
-  | [] -> done_k ()
-  | peers ->
-    let op = fresh_op t in
-    let f_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace f_peers kid ()) peers;
-    let fop = { f_peers; f_done = done_k; f_timer = None } in
-    Hashtbl.add t.pending_ops op (P_fleet fop);
-    let update = P.Ik_fleet_state { op; src_kernel = t.id; kernel; state } in
-    job t (fun () ->
-        ( Int64.mul (Int64.of_int (List.length peers)) 100L,
-          fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
-            if (c t).Cost.retry_max > 0 then begin
-              let rec tick attempts () =
-                match Hashtbl.find_opt t.pending_ops op with
-                | Some (P_fleet f) when attempts < (c t).Cost.retry_max ->
-                  List.iter
-                    (fun kid ->
-                      Obs.Registry.incr t.ctr.retries;
-                      receive_credit t ~peer:kid;
-                      ikc_send t ~dst:kid update)
-                    (List.sort compare (Hashtbl.fold (fun kid () acc -> kid :: acc) f.f_peers []));
-                  f.f_timer <-
-                    Some
-                      (Engine.after_cancellable t.engine
-                         (retry_interval (c t) (attempts + 1))
-                         (tick (attempts + 1)))
-                | Some _ | None -> ()
-              in
-              fop.f_timer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0))
-            end ))
+  acked_broadcast t ~per_peer:100L
+    (fun op -> P.Ik_fleet_state { op; src_kernel = t.id; kernel; state })
+    done_k
 
-(* Bulk partition handoff (fleet join/drain): move every capability
-   record and VPE of the partitions in [pes] to [dst] in one two-phase
-   exchange — the membership broadcast flips (or mid-handoff-marks)
-   every replica, then one framed record wave ships the data. *)
+(* Bulk partition handoff (fleet join/drain, and single-VPE migration
+   as a one-PE wave): move every capability record and VPE of the
+   partitions in [pes] to [dst] in one two-phase exchange — the
+   membership broadcast flips (or mid-handoff-marks) every replica,
+   then one framed record wave ships the data. *)
 let handoff_partitions t ~pes ~vpes ~dst done_k =
   if dst = t.id then invalid_arg "Kernel.handoff_partitions: already managed here";
   if not (Hashtbl.mem t.registry dst) then invalid_arg "Kernel.handoff_partitions: no such kernel";
@@ -2734,46 +2476,30 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
         invalid_arg "Kernel.handoff_partitions: VPE has a syscall in flight";
       if vpe.Vpe.frozen then invalid_arg "Kernel.handoff_partitions: VPE is already migrating")
     vpes;
-  (* Freeze the moving VPEs and mark every PE mid-handoff on our own
-     replica: in-flight resolves defer loudly instead of misrouting. *)
+  (* Freeze the moving VPEs (syscalls are held at System level while
+     records are in flight) and mark every PE mid-handoff on our own
+     replica: in-flight resolves defer loudly instead of misrouting —
+     the records stay here until [part_transfer]. *)
   List.iter (fun (vpe : Vpe.t) -> vpe.Vpe.frozen <- true) vpes;
   List.iter (fun pe -> Membership.begin_handoff t.membership ~pe) pes;
   trace_ints t ~kind:"handoff_start" ~op:(-1) ~src:t.id ~dst d_handoff_start (List.length pes)
     (List.length vpes) 0;
-  let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
-  match peers with
-  | [] -> part_transfer t ~pes ~vpes ~dst ~done_k
-  | peers ->
-    let op = fresh_op t in
-    let p_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace p_peers kid ()) peers;
-    let pop = { p_pes = pes; p_vpes = vpes; p_dst = dst; p_peers; p_done = done_k; p_timer = None } in
-    Hashtbl.add t.pending_ops op (P_part pop);
-    let update = P.Ik_part_update { op; src_kernel = t.id; pes; new_kernel = dst } in
-    job t (fun () ->
-        ( Int64.mul (Int64.of_int (List.length peers)) 200L,
-          fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
-            if (c t).Cost.retry_max > 0 then begin
-              let rec tick attempts () =
-                match Hashtbl.find_opt t.pending_ops op with
-                | Some (P_part p) when attempts < (c t).Cost.retry_max ->
-                  List.iter
-                    (fun kid ->
-                      Obs.Registry.incr t.ctr.retries;
-                      receive_credit t ~peer:kid;
-                      ikc_send t ~dst:kid update)
-                    (List.sort compare (Hashtbl.fold (fun kid () acc -> kid :: acc) p.p_peers []));
-                  p.p_timer <-
-                    Some
-                      (Engine.after_cancellable t.engine
-                         (retry_interval (c t) (attempts + 1))
-                         (tick (attempts + 1)))
-                | Some _ | None -> ()
-              in
-              pop.p_timer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0))
-            end ))
+  acked_broadcast t ~per_peer:200L
+    (fun op -> P.Ik_part_update { op; src_kernel = t.id; pes; new_kernel = dst })
+    (fun () -> part_transfer t ~pes ~vpes ~dst ~done_k)
+
+(* PE migration (the paper's named future work, §3.2) is a one-PE
+   partition handoff. The system must be quiescent with respect to this
+   VPE: no in-flight operations may reference its capabilities. *)
+let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
+  if dst = t.id then invalid_arg "Kernel.migrate_vpe: already managed here";
+  if not (Hashtbl.mem t.registry dst) then invalid_arg "Kernel.migrate_vpe: no such kernel";
+  (* Safety gate: never migrate onto a kernel that is not (or no
+     longer) serving — a mid-leave destination would strand the VPE. *)
+  if Membership.kernel_state t.membership dst <> Membership.Active then
+    invalid_arg "Kernel.migrate_vpe: destination kernel is not active";
+  if not (Vpe.is_alive vpe) then invalid_arg "Kernel.migrate_vpe: VPE is dead";
+  handoff_partitions t ~pes:[ vpe.Vpe.pe ] ~vpes:[ vpe ] ~dst done_k
 
 (* Control-plane quiescence: nothing pending, nothing awaiting
    retransmission, no batched sends parked in a slot window, no
@@ -2798,10 +2524,7 @@ let quiescence_report t =
     | P_open_sess _ -> "open_sess"
     | P_revoke _ -> "revoke"
     | P_revoke_msg _ -> "revoke_msg"
-    | P_migrate _ -> "migrate"
-    | P_migrate_caps _ -> "migrate_caps"
-    | P_fleet _ -> "fleet"
-    | P_part _ -> "part"
+    | P_bcast _ -> "bcast"
     | P_part_caps _ -> "part_caps"
   in
   Hashtbl.iter (fun op p -> add "pending op %d (%s)" op (pend_kind p)) t.pending_ops;

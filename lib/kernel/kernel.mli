@@ -157,26 +157,33 @@ val install_new_cap :
   unit ->
   Protocol.selector * Key.t
 
-(** PE migration (the paper's named future work, §3.2): freeze the VPE
-    ([Vpe.frozen]), mark its PE mid-handoff in the local membership
-    replica, broadcast the membership update to every kernel, then
-    transfer its capability records to [dst] (op-tagged and
-    retransmitted until the destination acks the install). The system
-    must be quiescent with respect to this VPE (no in-flight operations
-    touching its capabilities) — {!System.migrate_vpe} enforces that for
-    tests, and the load balancer's candidate gate enforces it for live
-    workloads. [done_k] runs at the initiating kernel once the
-    destination has acknowledged the records. *)
+(** PE migration (the paper's named future work, §3.2), run as a
+    one-PE partition handoff: after its own gates it is exactly
+    [handoff_partitions t ~pes:[vpe.pe] ~vpes:[vpe] ~dst done_k] —
+    freeze the VPE, broadcast an [Ik_part_update] to every kernel, then
+    ship its capability records to [dst] as one [Ik_part_records] wave
+    (retransmitted until the destination acks the install). Raises
+    [Invalid_argument] if [dst] is this kernel, unknown or not
+    [Active], or the VPE is dead (plus {!handoff_partitions}'s gates).
+    The system must be quiescent with respect to this VPE (no in-flight
+    operations touching its capabilities) — {!System.migrate_vpe}
+    enforces that for tests, and the load balancer's candidate gate
+    enforces it for live workloads. [done_k] runs at the initiating
+    kernel once the destination has acknowledged the records. *)
 val migrate_vpe : t -> vpe:Vpe.t -> dst:int -> (unit -> unit) -> unit
 
 (** Reliable fleet lifecycle broadcast: record [state] for [kernel] on
     this kernel's replica, announce it to every peer with an op-tagged
     [Ik_fleet_state] (retransmitted until each peer acks), and run the
-    continuation once all acks are in. *)
+    continuation once all acks are in. If the retry budget runs out
+    first, the kernel counts it in [retry_exhausted], traces one
+    [ikc_timeout] per unacked peer, and leaves the broadcast pending: a
+    late ack still runs the continuation. *)
 val announce_state :
   t -> kernel:int -> Semper_ddl.Membership.kernel_state -> (unit -> unit) -> unit
 
-(** Bulk partition handoff (fleet join/drain): move every capability
+(** Bulk partition handoff (fleet join/drain; {!migrate_vpe} is the
+    one-PE case): move every capability
     record and VPE of the partitions in [pes] to [dst] in one two-phase
     exchange. Phase 1 freezes the listed VPEs, marks every PE
     mid-handoff here, and broadcasts an [Ik_part_update] (the

@@ -126,9 +126,7 @@ type ikc =
          wave instead of receiving a separate Ik_revoke_req per child
          (batching mode; empty otherwise). *)
   | Ik_remove_child of { op : int; parent_key : Key.t; child_key : Key.t }
-  | Ik_migrate_update of { op : int; src_kernel : int; pe : int; new_kernel : int }
   | Ik_migrate_ack of { op : int }
-  | Ik_migrate_caps of { op : int; src_kernel : int; vpe : int; records : migrated_cap list }
   | Ik_srv_announce of { op : int; name : string; srv_key : Key.t; kernel : int }
   | Ik_fleet_state of {
       op : int;
@@ -137,7 +135,7 @@ type ikc =
       state : Semper_ddl.Membership.kernel_state;
     }
       (* Kernel lifecycle transition (join/drain/retire), broadcast to
-         every peer and acked like a migrate update. *)
+         every peer and acked with Ik_migrate_ack. *)
   | Ik_part_update of { op : int; src_kernel : int; pes : int list; new_kernel : int }
       (* Bulk membership flip for a whole partition set: the new owner
          marks every PE mid-handoff, other replicas reassign the set
@@ -152,7 +150,6 @@ type ikc =
       (* Framed record wave carrying every capability record of the
          partitions in [pes] plus the VPEs living there; sized like an
          [Ik_batch] frame (header + one slot per record). *)
-  | Ik_shutdown of { src_kernel : int }
   | Ik_batch of { src_kernel : int; msgs : ikc list }
       (* Framed multi-message: every [Ik_*] queued for the same peer
          within one DTU slot window travels as one fabric transfer
@@ -169,14 +166,11 @@ let ikc_name = function
   | Ik_revoke_req _ -> "revoke_req"
   | Ik_revoke_reply _ -> "revoke_reply"
   | Ik_remove_child _ -> "remove_child"
-  | Ik_migrate_update _ -> "migrate_update"
   | Ik_migrate_ack _ -> "migrate_ack"
-  | Ik_migrate_caps _ -> "migrate_caps"
   | Ik_srv_announce _ -> "srv_announce"
   | Ik_fleet_state _ -> "fleet_state"
   | Ik_part_update _ -> "part_update"
   | Ik_part_records _ -> "part_records"
-  | Ik_shutdown _ -> "shutdown"
   | Ik_batch _ -> "batch"
 
 type service_request =

@@ -131,20 +131,10 @@ type ikc =
       (** unlink notification: orphan cleanup or root-revoke unlink;
           op-tagged and retried until the receiver's delivery ack
           (piggybacked on the credit return) arrives *)
-  | Ik_migrate_update of { op : int; src_kernel : int; pe : int; new_kernel : int }
-      (** membership-table update broadcast for a migrating PE *)
   | Ik_migrate_ack of { op : int }
-      (** acknowledges both {!Ik_migrate_update} (per peer) and
-          {!Ik_migrate_caps} (from the destination, once installed) *)
-  | Ik_migrate_caps of {
-      op : int;
-      src_kernel : int;
-      vpe : int;
-      records : migrated_cap list;
-    }
-      (** capability-record transfer to the new owning kernel;
-          op-tagged so it is retransmitted on loss and deduplicated on
-          redelivery like every other request/reply pair *)
+      (** acknowledges every acked broadcast ({!Ik_fleet_state},
+          {!Ik_part_update}; per peer) and every {!Ik_part_records} wave
+          (from the destination, once installed) *)
   | Ik_srv_announce of { op : int; name : string; srv_key : Key.t; kernel : int }
       (** directory replication; op-tagged per peer and retried until
           acked — the receive is an idempotent directory write *)
@@ -172,7 +162,6 @@ type ikc =
           partitions in [pes] plus the VPEs living there; sized like an
           {!Ik_batch} frame and acked by the destination once
           installed *)
-  | Ik_shutdown of { src_kernel : int }
   | Ik_batch of { src_kernel : int; msgs : ikc list }
       (** framed multi-message: every [Ik_*] queued for the same peer
           within one DTU slot window travels as one fabric transfer

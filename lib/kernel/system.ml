@@ -371,15 +371,4 @@ let shutdown t =
       if Vpe.is_alive vpe then Kernel.syscall (kernel t vpe.Vpe.kernel) ~vpe Protocol.Sys_exit (fun _ -> ()))
     t.vpes;
   ignore (Engine.run t.engine);
-  (* Kernels exchange shutdown notices (group 1 inter-kernel calls). *)
-  List.iter
-    (fun k ->
-      List.iter
-        (fun peer ->
-          if Kernel.id peer <> Kernel.id k then
-            Kernel.deliver_ikc peer ~src_kernel:(Kernel.id k)
-              (Protocol.Ik_shutdown { src_kernel = Kernel.id k }))
-        (kernels t))
-    (kernels t);
-  ignore (Engine.run t.engine);
   List.fold_left (fun acc k -> acc + Semper_caps.Mapdb.count (Kernel.mapdb k)) 0 (kernels t)

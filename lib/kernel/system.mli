@@ -153,9 +153,8 @@ val fingerprint : t -> string
     Must be called before driving the restored system. *)
 val rebind : t -> unit
 
-(** Graceful shutdown (IKC group 1 of the paper, §4.1): every live VPE
-    — applications and services alike — exits, which recursively
-    revokes every capability in the system; kernels then exchange
-    shutdown notices. Runs the engine to completion and returns the
-    number of capabilities that survived (0 for a healthy system). *)
+(** Graceful shutdown: every live VPE — applications and services
+    alike — exits, which recursively revokes every capability in the
+    system. Runs the engine to completion and returns the number of
+    capabilities that survived (0 for a healthy system). *)
 val shutdown : t -> int

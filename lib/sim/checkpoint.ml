@@ -16,7 +16,7 @@
    being misread. *)
 
 let magic = "SEMCKPT1"
-let format_version = 2
+let format_version = 3
 
 type header = {
   version : int;

@@ -274,6 +274,35 @@ let revoke_drain_race ~drain_first () =
 let test_revoke_then_drain () = revoke_drain_race ~drain_first:false ()
 let test_drain_then_revoke () = revoke_drain_race ~drain_first:true ()
 
+(* A broadcast whose every message is dropped must give up loudly, like
+   an exhausted unicast: one [retry_exhausted] and one [ikc_timeout]
+   naming the message per unacked peer. The operation stays pending —
+   a late ack could still complete it. *)
+let test_exhausted_broadcast_is_reported () =
+  let fault =
+    { Fault.quiet with Fault.seed = 7L; drop_prob = 1.0; max_drops_per_pair = 1_000; max_drops_total = 1_000 }
+  in
+  let sys = System.create (System.config ~kernels:2 ~user_pes_per_kernel:2 ~fault ()) in
+  let k0 = System.kernel sys 0 in
+  let finished = ref false in
+  Kernel.announce_state k0 ~kernel:0 Membership.Active (fun () -> finished := true);
+  ignore (System.run sys);
+  check Alcotest.bool "broadcast never completes" false !finished;
+  let stats = Kernel.stats k0 in
+  check Alcotest.int "every resend went out" (Kernel.cost k0).Cost.retry_max stats.Kernel.retries;
+  check Alcotest.int "exhaustion counted" 1 stats.Kernel.retry_exhausted;
+  let timeouts =
+    List.filter
+      (fun (e : Obs.Trace.event) -> e.Obs.Trace.kind = "ikc_timeout")
+      (Obs.Trace.events (System.trace_buffer sys))
+  in
+  check
+    Alcotest.(list (triple int int string))
+    "one timeout per unacked peer"
+    [ (0, 1, "fleet_state") ]
+    (List.map (fun (e : Obs.Trace.event) -> Obs.Trace.(e.src, e.dst, e.detail)) timeouts);
+  check Alcotest.bool "operation left pending" false (Kernel.quiescent k0)
+
 let suite =
   [
     Alcotest.test_case "policy: scale out above high water" `Quick test_policy_scale_out;
@@ -291,4 +320,6 @@ let suite =
     Alcotest.test_case "bulk reassign_partition is atomic" `Quick test_reassign_partition_atomic;
     Alcotest.test_case "revoke wave racing a starting drain" `Quick test_revoke_then_drain;
     Alcotest.test_case "drain racing an incoming revoke wave" `Quick test_drain_then_revoke;
+    Alcotest.test_case "exhausted broadcast is counted and traced" `Quick
+      test_exhausted_broadcast_is_reported;
   ]

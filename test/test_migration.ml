@@ -22,7 +22,39 @@ let test_migrate_moves_records () =
   let _a = alloc sys v in
   let _b = alloc sys v in
   check Alcotest.int "records at kernel 0" 2 (Mapdb.count (Kernel.mapdb (System.kernel sys 0)));
+  let events_from = Int64.to_int (System.now sys) in
   System.migrate_vpe sys v ~to_kernel:2;
+  (* The migration runs as a one-PE handoff wave: the source announces
+     it, broadcasts one partition update per peer, then ships one
+     framed record wave to the destination — no migrate_* message. *)
+  let events =
+    List.filter
+      (fun (e : Obs.Trace.event) -> Int64.to_int e.Obs.Trace.ts >= events_from)
+      (Obs.Trace.events (System.trace_buffer sys))
+  in
+  let starts_with p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
+  let from_source kind =
+    List.filter (fun (e : Obs.Trace.event) -> e.Obs.Trace.kind = kind && e.Obs.Trace.src = 0) events
+  in
+  let sends detail =
+    List.filter_map
+      (fun (e : Obs.Trace.event) -> if e.Obs.Trace.detail = detail then Some e.Obs.Trace.dst else None)
+      (from_source "ikc_send")
+    |> List.sort Int.compare
+  in
+  check
+    Alcotest.(list string)
+    "handoff_start" [ "pes=1 vpes=1" ]
+    (List.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.detail) (from_source "handoff_start"));
+  check Alcotest.(list int) "one part_update per peer" [ 1; 2 ] (sends "part_update");
+  check Alcotest.(list int) "one part_records to the destination" [ 2 ] (sends "part_records");
+  check Alcotest.bool "no migrate_* kind or send from the source" false
+    (List.exists
+       (fun (e : Obs.Trace.event) ->
+         starts_with "migrate_" e.Obs.Trace.kind
+         || (e.Obs.Trace.kind = "ikc_send" && e.Obs.Trace.src = 0
+            && starts_with "migrate_" e.Obs.Trace.detail))
+       events);
   check Alcotest.int "now managed by kernel 2" 2 v.Vpe.kernel;
   check Alcotest.int "records left kernel 0" 0 (Mapdb.count (Kernel.mapdb (System.kernel sys 0)));
   check Alcotest.int "records arrived at kernel 2" 2

@@ -111,8 +111,17 @@ let test_graceful_shutdown () =
   ignore (System.run sys);
   check Alcotest.bool "caps exist before shutdown" true
     (List.exists (fun k -> Mapdb.count (Kernel.mapdb k) > 0) (System.kernels sys));
+  (* Shutdown returns no credit it never took: the §5.1 window clamp
+     must absorb nothing extra on the way down. *)
+  let overrefunds () =
+    List.fold_left
+      (fun acc k -> acc + (Kernel.stats k).Kernel.credit_overrefund)
+      0 (System.kernels sys)
+  in
+  let before = overrefunds () in
   let leaked = System.shutdown sys in
   check Alcotest.int "no capability survives shutdown" 0 leaked;
+  check Alcotest.int "no credit over-refunded by shutdown" before (overrefunds ());
   check Alcotest.(list string) "invariants after shutdown" [] (System.check_invariants sys)
 
 let test_latency_stats () =

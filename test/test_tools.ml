@@ -305,6 +305,27 @@ let test_bench_validate_rejects () =
     {|{"schema":"semperos-batch-1","jobs":1,"samples":[{"name":"fig4","cycles_off":1}]}|};
   reject "schema-less document without a path" {|{"table3":[]}|}
 
+(* The deterministic bench documents are pinned byte for byte: each is
+   regenerated in process into a temp file and compared with the
+   committed copy, so a change to the balancer, fleet or batching
+   protocols that moves any of their numbers fails here. *)
+let test_bench_documents_regenerate () =
+  let dir = if Sys.file_exists "BENCH_balance.json" then "." else ".." in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  List.iter
+    (fun (name, write) ->
+      let tmp = Filename.temp_file "semperos_bench" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove tmp)
+        (fun () ->
+          write tmp;
+          check Alcotest.string name (read (Filename.concat dir name)) (read tmp)))
+    [
+      ("BENCH_balance.json", fun path -> Skew.bench ~path ());
+      ("BENCH_fleet.json", fun path -> Fleetbench.bench ~path ());
+      ("BENCH_batch.json", fun path -> Batchbench.run ~path ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Broadcast revocation baseline                                       *)
 
@@ -359,6 +380,8 @@ let suite =
     Alcotest.test_case "bench documents match their schemas" `Quick test_bench_documents_validate;
     Alcotest.test_case "bench validator rejects malformed documents" `Quick
       test_bench_validate_rejects;
+    Alcotest.test_case "deterministic bench documents regenerate byte-identical" `Quick
+      test_bench_documents_regenerate;
     Alcotest.test_case "broadcast correctness" `Quick test_broadcast_correctness;
     Alcotest.test_case "broadcast pays the scan" `Quick test_broadcast_pays_scan;
   ]
