@@ -169,7 +169,7 @@ type remote_state = R_in_progress | R_done of { dst : int; msg : P.ikc }
 type retry_state = {
   rdst : int;
   rmsg : P.ikc;
-  rstart : int64;
+  rstart : int;
   mutable rattempts : int;
   mutable rtimer : Engine.handle option;
 }
@@ -183,7 +183,7 @@ type evict_key = Ev_remote of int | Ev_ack of int
    first message to a peer opens a DTU slot window ([bw_until]);
    messages issued before it closes queue in [bq] and leave as one
    framed [Ik_batch] when the window's flush tick fires. *)
-type batch_state = { bq : P.ikc Queue.t; mutable bw_until : int64 }
+type batch_state = { bq : P.ikc Queue.t; mutable bw_until : int }
 
 (* Receiver-side credit bookkeeping for [Ik_batch] frames from one
    peer: a frame consumed ONE sender credit but each inner message
@@ -200,6 +200,8 @@ type t = {
   grid : Semper_dtu.Dtu.grid;
   membership : Membership.t;
   cost : Cost.t;
+  retry_intervals : int64 array;
+  retention : int;
   env : env;
   registry : (int, t) Hashtbl.t;
   kernel_count : int;
@@ -226,7 +228,7 @@ type t = {
   completed_acks : (int, int * P.ikc) Hashtbl.t;
   (* FIFO of (expiry, entry) for the two idempotency caches above;
      expiries are monotone because entries are pushed at event time. *)
-  evictions : (int64 * evict_key) Queue.t;
+  evictions : (int * evict_key) Queue.t;
   obs : Obs.Registry.t;
   trace : Obs.Trace.t;
   ctr : counters;
@@ -247,19 +249,20 @@ type t = {
    experiments exceed. Backoff keeps loss recovery fast (first resend
    after one timeout) while tolerating ~50x longer queueing, and stops
    retransmission storms from feeding the very congestion that delayed
-   the reply. *)
-let retry_interval cost i =
-  let shift = if i < 6 then i else 6 in
-  Int64.mul cost.Cost.retry_timeout (Int64.of_int (1 lsl shift))
+   the reply. Attempt [i] waits entry [min i 6]. *)
+let retry_intervals cost =
+  Array.init 7 (fun i -> Int64.mul cost.Cost.retry_timeout (Int64.of_int (1 lsl i)))
 
-(* Worst-case span of a full retry schedule: sum of all backoff
-   intervals (attempts 0..retry_max), used to size the idempotency-cache
-   retention window. *)
-let retry_window cost =
-  let rec total i acc =
-    if i > cost.Cost.retry_max then acc else total (i + 1) (Int64.add acc (retry_interval cost i))
-  in
-  total 0 0L
+(* How long idempotency-cache entries must be kept: once the full retry
+   budget (every backoff interval of attempts 0..retry_max) plus two
+   timeouts of slack has elapsed, no retransmission of the request (or
+   redelivery of its reply) can still be in flight. *)
+let retention cost intervals =
+  let total = ref (Int64.to_int (Int64.mul 2L cost.Cost.retry_timeout)) in
+  for i = 0 to cost.Cost.retry_max do
+    total := !total + Int64.to_int intervals.(min i 6)
+  done;
+  !total
 
 (* Bucket bounds (cycles) for syscall / IKC latency histograms. *)
 let latency_buckets =
@@ -275,6 +278,7 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
     () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   let trace = match trace with Some b -> b | None -> Obs.Trace.create ~capacity:1024 in
+  let retry_intervals = retry_intervals cost in
   let cnt name = Obs.Registry.counter obs (Printf.sprintf "kernel%d.%s" id name) in
   let ctr : counters =
     {
@@ -317,6 +321,8 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
       grid;
       membership;
       cost;
+      retry_intervals;
+      retention = retention cost retry_intervals;
       env;
       registry;
       kernel_count;
@@ -566,12 +572,12 @@ let job t f = Server.submit_work t.server f
 (* Span events. No optional arguments, so a call boxes nothing; [-1]
    marks an absent op id or endpoint. *)
 let trace_event t ~kind ~op ~src ~dst detail =
-  Obs.Trace.emit t.trace ~ts:(Int64.to_int (Engine.now t.engine)) ~kind ~op ~src ~dst detail
+  Obs.Trace.emit t.trace ~ts:(Engine.clock t.engine) ~kind ~op ~src ~dst detail
 
 (* An event whose detail is integers, rendered through [layout] only
    when the ring is read. *)
 let trace_ints t ~kind ~op ~src ~dst layout a b c =
-  Obs.Trace.emit_ints t.trace ~ts:(Int64.to_int (Engine.now t.engine)) ~kind ~op ~src ~dst layout
+  Obs.Trace.emit_ints t.trace ~ts:(Engine.clock t.engine) ~kind ~op ~src ~dst layout
     a b c
 
 let d_revoke_sweep = Obs.Trace.layout "deleted=%d"
@@ -600,21 +606,17 @@ let ikc_op : P.ikc -> int = function
     op
   | P.Ik_batch _ -> -1
 
-(* How long idempotency-cache entries must be kept: once the full retry
-   budget plus slack has elapsed, no retransmission of the request (or
-   redelivery of its reply) can still be in flight. *)
-let retention t =
-  Int64.add (retry_window t.cost) (Int64.mul 2L t.cost.Cost.retry_timeout)
+let retry_interval t i = t.retry_intervals.(min i 6)
 
 (* Lazily drop expired idempotency-cache entries; called on kernel
    activity (syscall entry, IKC delivery) rather than from timers so
    drain-based measurements see no extra events. *)
 let evict_expired t =
-  let now = Engine.now t.engine in
+  let now = Engine.clock t.engine in
   let continue = ref true in
   while !continue && not (Queue.is_empty t.evictions) do
     let expiry, key = Queue.peek t.evictions in
-    if Int64.compare expiry now > 0 then continue := false
+    if expiry > now then continue := false
     else begin
       ignore (Queue.pop t.evictions);
       match key with
@@ -651,11 +653,11 @@ let ikc_instruments t name =
   let ikc_latency = hist "ikc_latency" latency_buckets in
   { ikc_latency; ikc_retries = hist "ikc_retries" retry_buckets }
 
-let cycles_since t start = Int64.to_int (Int64.sub (Engine.now t.engine) start)
+let cycles_since t start = Engine.clock t.engine - start
 
 let record_latency t (vpe : Vpe.t) =
   let h = resolve t.ctr.latencies t vpe.Vpe.syscall_name syscall_latency_hist in
-  Obs.Registry.observe_int h (cycles_since t vpe.Vpe.syscall_start)
+  Obs.Registry.observe_int h (cycles_since t (Int64.to_int vpe.Vpe.syscall_start))
 
 (* Syscall reply: message from the kernel PE back to the VPE's PE. *)
 let send_reply t (vpe : Vpe.t) (r : P.reply) =
@@ -737,18 +739,18 @@ and enqueue_batch t ~dst ikc =
     match Hashtbl.find_opt t.batch_queues dst with
     | Some bs -> bs
     | None ->
-      let bs = { bq = Queue.create (); bw_until = Int64.min_int } in
+      let bs = { bq = Queue.create (); bw_until = min_int } in
       Hashtbl.add t.batch_queues dst bs;
       bs
   in
-  if Int64.compare (Engine.now t.engine) bs.bw_until < 0 then Queue.push ikc bs.bq
+  if Engine.clock t.engine < bs.bw_until then Queue.push ikc bs.bq
   else begin
     dispatch_ikc t ~dst ikc;
     open_batch_window t ~dst bs
   end
 
 and open_batch_window t ~dst bs =
-  bs.bw_until <- Int64.add (Engine.now t.engine) (c t).Cost.batch_window;
+  bs.bw_until <- Engine.clock t.engine + Int64.to_int (c t).Cost.batch_window;
   Engine.after t.engine (c t).Cost.batch_window (fun () -> flush_batch t ~dst bs)
 
 and flush_batch t ~dst bs =
@@ -841,7 +843,7 @@ and send_unlink t ~dst ~parent_key ~child_key =
   send_retried t op ~dst (P.Ik_remove_child { op; parent_key; child_key })
 
 and register_retry t op ~dst msg =
-  let st = { rdst = dst; rmsg = msg; rstart = Engine.now t.engine; rattempts = 0; rtimer = None } in
+  let st = { rdst = dst; rmsg = msg; rstart = Engine.clock t.engine; rattempts = 0; rtimer = None } in
   Hashtbl.replace t.retry_msgs op st;
   if (c t).Cost.retry_max > 0 then begin
     let rec tick () =
@@ -865,10 +867,10 @@ and register_retry t op ~dst msg =
           receive_credit t ~peer:st.rdst;
           ikc_send t ~dst:st.rdst st.rmsg;
           st.rtimer <-
-            Some (Engine.after_cancellable t.engine (retry_interval (c t) st.rattempts) tick)
+            Some (Engine.after_cancellable t.engine (retry_interval t st.rattempts) tick)
         end
     in
-    st.rtimer <- Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) tick)
+    st.rtimer <- Some (Engine.after_cancellable t.engine (retry_interval t 0) tick)
   end
 
 and clear_retry t op =
@@ -959,7 +961,7 @@ and remote_dup t ~src_kernel ~op =
    redeliveries. *)
 and finish_remote t ~op ~dst msg =
   Hashtbl.replace t.remote_ops op (R_done { dst; msg });
-  Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_remote op) t.evictions;
+  Queue.push (Engine.clock t.engine + t.retention, Ev_remote op) t.evictions;
   ikc_send t ~dst msg
 
 (* ------------------------------------------------------------------ *)
@@ -2181,7 +2183,7 @@ and handle_delegate_reply t ~op ~result =
       (* Cache the ack: a redelivered reply means the destination is
          still waiting, so the ack may have been lost and is re-sent. *)
       Hashtbl.replace t.completed_acks op (dst_kernel, ack);
-      Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_ack op) t.evictions;
+      Queue.push (Engine.clock t.engine + t.retention, Ev_ack op) t.evictions;
       ikc_send t ~dst:dst_kernel ack
     in
     match result with
@@ -2422,7 +2424,7 @@ let acked_broadcast t ~per_peer make done_k =
           b.b_timer <-
             Some
               (Engine.after_cancellable t.engine
-                 (retry_interval (c t) (attempts + 1))
+                 (retry_interval t (attempts + 1))
                  (tick (attempts + 1)))
         end
         else begin
@@ -2440,7 +2442,7 @@ let acked_broadcast t ~per_peer make done_k =
             List.iter (fun kid -> ikc_send t ~dst:kid msg) peers;
             if (c t).Cost.retry_max > 0 then
               bop.b_timer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0)) ))
+                Some (Engine.after_cancellable t.engine (retry_interval t 0) (tick 0)) ))
 
 (* Reliable fleet-state broadcast: record the transition on our own
    replica, tell every peer, and run [done_k] once all have acked. *)

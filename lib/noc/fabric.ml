@@ -63,24 +63,24 @@ let has_injector t = t.injector <> None
    for the traffic counters. *)
 let latency_of_hops t ~hops ~bytes =
   let c = t.config in
-  Int64.of_int (c.base_cycles + (c.hop_cycles * hops) + (bytes / c.bytes_per_cycle))
+  c.base_cycles + (c.hop_cycles * hops) + (bytes / c.bytes_per_cycle)
 
 let latency t ~src ~dst ~bytes =
   if bytes < 0 then invalid_arg "Fabric.latency: negative size";
-  latency_of_hops t ~hops:(Topology.hops t.topology src dst) ~bytes
+  Int64.of_int (latency_of_hops t ~hops:(Topology.hops t.topology src dst) ~bytes)
 
-(* Schedule one copy. FIFO per channel: never deliver before a
-   previously sent message (each duplicate copy joins the ordered
-   stream too). *)
+(* Schedule one copy at cycle [a]. FIFO per channel: never deliver
+   before a previously sent message (each duplicate copy joins the
+   ordered stream too). *)
 let deliver t ~src ~dst ~bytes a k =
   let slot = (src * Topology.pe_count t.topology) + dst in
   let a =
-    match Hashtbl.find_opt t.last_delivery slot with
-    | Some prev when prev > Int64.to_int a -> Int64.of_int prev
-    | Some _ | None -> a
+    match Hashtbl.find t.last_delivery slot with
+    | prev -> if prev > a then prev else a
+    | exception Not_found -> a
   in
-  Hashtbl.replace t.last_delivery slot (Int64.to_int a);
-  Semper_sim.Engine.at t.engine a (fun () ->
+  Hashtbl.replace t.last_delivery slot a;
+  Semper_sim.Engine.at_int t.engine a (fun () ->
       Obs.Registry.incr t.messages_delivered;
       Obs.Registry.add t.bytes_delivered bytes;
       k ())
@@ -88,9 +88,7 @@ let deliver t ~src ~dst ~bytes a k =
 let send_tagged t ~tag ~src ~dst ~bytes k =
   if bytes < 0 then invalid_arg "Fabric.send: negative size";
   let hops = Topology.hops t.topology src dst in
-  let lat = latency_of_hops t ~hops ~bytes in
-  let now = Semper_sim.Engine.now t.engine in
-  let arrival = Int64.add now lat in
+  let arrival = Semper_sim.Engine.clock t.engine + latency_of_hops t ~hops ~bytes in
   (* Offered-load stats count at send time; delivery stats only once a
      copy actually arrives (an injector may drop or duplicate it). *)
   Obs.Registry.incr t.messages;
@@ -104,7 +102,8 @@ let send_tagged t ~tag ~src ~dst ~bytes k =
        every message of a fault-free run. *)
     deliver t ~src ~dst ~bytes arrival k
   | Some inject ->
-    let plan = inject ~src ~dst ~tag ~now ~arrival in
+    let now = Semper_sim.Engine.now t.engine in
+    let plan = inject ~src ~dst ~tag ~now ~arrival:(Int64.of_int arrival) in
     (* Each [None] in the plan is one dropped copy; an empty plan is the
        whole message dropped (one drop, since exactly one was offered). *)
     let drops = if plan = [] then 1 else List.length (List.filter Option.is_none plan) in
@@ -113,9 +112,9 @@ let send_tagged t ~tag ~src ~dst ~bytes k =
       (* Clamp each surviving copy so it is never earlier than the
          unfaulted arrival: faults add latency, they cannot create a
          faster-than-the-NoC path. *)
-      List.filter_map Fun.id plan
-      |> List.map (fun a -> if Int64.compare a arrival < 0 then arrival else a)
-      |> List.sort Int64.compare
+      List.filter_map (Option.map Int64.to_int) plan
+      |> List.map (fun a -> if a < arrival then arrival else a)
+      |> List.sort Int.compare
     in
     List.iter (fun a -> deliver t ~src ~dst ~bytes a k) arrivals
 

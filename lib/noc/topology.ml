@@ -18,6 +18,8 @@ let coords t pe =
   if pe < 0 || pe >= pe_count t then invalid_arg "Topology.coords: PE out of range";
   (pe mod t.width, pe / t.width)
 
+(* As [coords] on both ends, without building their tuples. *)
 let hops t a b =
-  let xa, ya = coords t a and xb, yb = coords t b in
-  abs (xa - xb) + abs (ya - yb)
+  let n = pe_count t in
+  if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Topology.coords: PE out of range";
+  abs ((a mod t.width) - (b mod t.width)) + abs ((a / t.width) - (b / t.width))

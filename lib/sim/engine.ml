@@ -1,35 +1,15 @@
 module Obs = Semper_obs.Obs
 module Wheel = Semper_util.Wheel
 
-(* The queue is a hierarchical timer wheel (Semper_util.Wheel): O(1)
-   schedule, O(1) cancel (the handle unlinks its intrusive cell on the
-   spot) and amortized O(1) expiry, delivering in (time, seq) order
-   because the wheel keeps insertion order within a tick. *)
-
-(* [owner] ties a pending handle to the engine instance that issued it,
-   so that [cancel] can reject handles from another engine (or from a
-   pre-restore life of this engine) instead of unlinking a cell of a
-   foreign wheel. Engines get their id from a process-wide counter;
-   [rebind] re-stamps a restored engine and its queued handles with a
-   fresh id. A handle is pending exactly while it holds its wheel cell;
-   firing or cancelling drops it to [Wnone]. The cell travels inside
-   checkpoint images by marshalled sharing, so a restored handle still
-   points into the restored wheel. *)
-type handle = { mutable owner : int; mutable wcell : wref }
-
-and wref = Wnone | Wcell of event Wheel.cell
-
-and event = {
-  time : int64;
-  run : unit -> unit;
-  (* [None] for the plain [at]/[after] events, which avoids allocating
-     a handle on the fast path carrying almost all simulation traffic. *)
-  cell : handle option;
-}
+(* Every event is one wheel cell, stamped with the issuing engine's id
+   so that [cancel] never unlinks a cell of a foreign wheel. Cells
+   travel inside checkpoint images by marshalled sharing, so a restored
+   handle still points into the restored wheel. *)
+type handle = (unit -> unit) Wheel.cell
 
 type t = {
   mutable uid : int;
-  mutable clock : int64;
+  mutable clock : int;
   (* Events ever scheduled; the wheel's insertion order is this
      sequence, and [restore] uses it to detect a queue that moved on. *)
   mutable next_seq : int;
@@ -39,14 +19,14 @@ type t = {
      cancelled timers as no-ops, so its last-popped event was exactly
      the latest-scheduled one, and harnesses that read the clock after
      the queue drains depend on landing there. *)
-  mutable horizon : int64;
+  mutable horizon : int;
   mutable cancelled : int;
   (* Largest live occupancy of the wheel. *)
   mutable heap_peak : int;
   (* High-water marks already pushed into [Totals]. *)
   mutable flushed_processed : int;
   mutable flushed_cancelled : int;
-  wheel : event Wheel.t;
+  wheel : (unit -> unit) Wheel.t;
   ctr_cancelled : Obs.Registry.counter option;
 }
 
@@ -72,8 +52,6 @@ module Totals = struct
     if n > cur && not (Atomic.compare_and_set a cur n) then max_to a n
 end
 
-let dummy_event = { time = 0L; run = (fun () -> ()); cell = None }
-
 (* Engine instance ids. Atomic because sweeps create engines on many
    domains at once; the ids only need to be distinct, not dense. *)
 let next_uid = Atomic.make 0
@@ -82,15 +60,15 @@ let create ?obs () =
   let t =
     {
       uid = Atomic.fetch_and_add next_uid 1;
-      clock = 0L;
+      clock = 0;
       next_seq = 0;
       processed = 0;
-      horizon = 0L;
+      horizon = 0;
       cancelled = 0;
       heap_peak = 0;
       flushed_processed = 0;
       flushed_cancelled = 0;
-      wheel = Wheel.create ~dummy:dummy_event ();
+      wheel = Wheel.create ~dummy:ignore ();
       ctr_cancelled =
         Option.map (fun r -> Obs.Registry.counter r "engine.events_cancelled") obs;
     }
@@ -100,84 +78,73 @@ let create ?obs () =
     obs;
   t
 
-let now t = t.clock
+let clock t = t.clock
+let now t = Int64.of_int t.clock
 
-(* Simulated cycles are int64 for interface stability, but the wheel
-   indexes by native int: on 64-bit hosts that caps the clock at 2^62
-   cycles ≈ 73 years of simulated 2 GHz time, far past any run. *)
-let wheel_time time =
-  if Int64.compare time (Int64.of_int max_int) > 0 then
-    invalid_arg "Engine.at: time exceeds the timer-wheel range"
-  else Int64.to_int time
+(* An int64 time or delay as a wheel tick. Negative values pass through
+   for the callers' own checks. *)
+let cycles fn x =
+  if Int64.compare x (Int64.of_int max_int) > 0 then
+    invalid_arg (fn ^ ": time exceeds the timer-wheel range")
+  else Int64.to_int x
 
-let schedule t time run cell =
-  if Int64.compare time t.clock < 0 then invalid_arg "Engine.at: time in the past";
+let schedule t time run =
+  if time < t.clock then invalid_arg "Engine.at: time in the past";
   t.next_seq <- t.next_seq + 1;
-  if Int64.compare time t.horizon > 0 then t.horizon <- time;
-  let c = Wheel.add t.wheel ~time:(wheel_time time) { time; run; cell } in
-  (match cell with Some h -> h.wcell <- Wcell c | None -> ());
+  if time > t.horizon then t.horizon <- time;
+  let c = Wheel.add t.wheel ~time ~stamp:t.uid run in
   let len = Wheel.length t.wheel in
-  if len > t.heap_peak then t.heap_peak <- len
+  if len > t.heap_peak then t.heap_peak <- len;
+  c
 
-let at t time run = schedule t time run None
+let deadline t delay =
+  if delay < 0 then invalid_arg "Engine.after: negative delay";
+  if delay > max_int - t.clock then invalid_arg "Engine.after: time exceeds the timer-wheel range";
+  t.clock + delay
 
-let after t delay run =
-  if Int64.compare delay 0L < 0 then invalid_arg "Engine.after: negative delay";
-  at t (Int64.add t.clock delay) run
-
-let at_cancellable t time run =
-  let h = { owner = t.uid; wcell = Wnone } in
-  schedule t time run (Some h);
-  h
-
-let after_cancellable t delay run =
-  if Int64.compare delay 0L < 0 then invalid_arg "Engine.after: negative delay";
-  at_cancellable t (Int64.add t.clock delay) run
+let at_int t time run = ignore (schedule t time run)
+let after_int t delay run = ignore (schedule t (deadline t delay) run)
+let at_cancellable t time run = schedule t (cycles "Engine.at" time) run
+let after_cancellable t delay run = schedule t (deadline t (cycles "Engine.after" delay)) run
+let at t time run = ignore (at_cancellable t time run)
+let after t delay run = ignore (after_cancellable t delay run)
 
 let cancel t h =
-  match h.wcell with
-  | Wnone -> ()
-  | Wcell c ->
-    if h.owner <> t.uid then
+  if Wheel.linked h then begin
+    if Wheel.stamp h <> t.uid then
       invalid_arg "Engine.cancel: handle belongs to a different engine (or a stale restore)";
-    ignore (Wheel.remove t.wheel c);
-    h.wcell <- Wnone;
+    Wheel.remove t.wheel h;
     t.cancelled <- t.cancelled + 1;
     Option.iter Obs.Registry.incr t.ctr_cancelled
+  end
+
+(* Fire every event due by [limit]. [Wheel.pop ~limit] never advances
+   its cursor past the limit, which keeps the cursor <= clock invariant
+   that lets a later [schedule] at the current clock land in front of
+   it. *)
+let rec fire t ~limit count =
+  let c = Wheel.pop t.wheel ~limit in
+  if c == Wheel.none t.wheel then count
+  else begin
+    t.clock <- Wheel.time c;
+    t.processed <- t.processed + 1;
+    Wheel.value c ();
+    fire t ~limit (count + 1)
+  end
 
 let run ?until t =
-  (* [Wheel.pop ~limit] never advances its cursor past the limit, which
-     keeps the cursor <= clock invariant that lets a later [schedule]
-     at the current clock land in front of it. *)
-  let limit =
-    match until with
-    | Some l when Int64.compare l (Int64.of_int max_int) < 0 -> Int64.to_int l
-    | Some _ | None -> max_int
-  in
-  let count = ref 0 in
-  let rec loop () =
-    match Wheel.pop t.wheel ~limit with
-    | None -> ()
-    | Some c ->
-      let ev = Wheel.value c in
-      (match ev.cell with Some h -> h.wcell <- Wnone | None -> ());
-      t.clock <- ev.time;
-      t.processed <- t.processed + 1;
-      incr count;
-      ev.run ();
-      loop ()
-  in
-  loop ();
+  let limit = match until with Some l -> cycles "Engine.run" l | None -> max_int in
+  let count = fire t ~limit 0 in
   (* The clock contract (see engine.mli): a bounded run ends at
      [max clock until], a drained unbounded run at [max clock horizon]. *)
-  let target = match until with Some l -> l | None -> t.horizon in
-  if Int64.compare target t.clock > 0 then t.clock <- target;
+  let target = match until with Some _ -> limit | None -> t.horizon in
+  if target > t.clock then t.clock <- target;
   Totals.add Totals.processed_a (t.processed - t.flushed_processed);
   Totals.add Totals.cancelled_a (t.cancelled - t.flushed_cancelled);
   t.flushed_processed <- t.processed;
   t.flushed_cancelled <- t.cancelled;
   Totals.max_to Totals.heap_peak_a t.heap_peak;
-  !count
+  count
 
 let events_processed t = t.processed
 let events_cancelled t = t.cancelled
@@ -189,10 +156,8 @@ let rebind t =
   t.uid <- Atomic.fetch_and_add next_uid 1;
   (* Every queued handle is pending by definition, so walking the
      wheel re-stamps them all. Fired and cancelled handles are left
-     alone: [cancel] no-ops on them before it ever looks at the owner. *)
-  Wheel.iter
-    (fun c -> match (Wheel.value c).cell with Some h -> h.owner <- t.uid | None -> ())
-    t.wheel
+     alone: [cancel] no-ops on them before it ever looks at the stamp. *)
+  Wheel.restamp t.wheel t.uid
 
 type snapshot = {
   s_clock : int64;
@@ -206,10 +171,10 @@ type snapshot = {
 
 let snapshot t =
   {
-    s_clock = t.clock;
+    s_clock = Int64.of_int t.clock;
     s_next_seq = t.next_seq;
     s_processed = t.processed;
-    s_horizon = t.horizon;
+    s_horizon = Int64.of_int t.horizon;
     s_cancelled = t.cancelled;
     s_heap_peak = t.heap_peak;
     s_queued = Wheel.length t.wheel;
@@ -228,10 +193,10 @@ let restore t s =
      and allowed even though [next_seq] moved. *)
   if s.s_queued > 0 && t.next_seq <> s.s_next_seq then
     invalid_arg "Engine.restore: engine scheduled events since the snapshot";
-  t.clock <- s.s_clock;
+  t.clock <- Int64.to_int s.s_clock;
   t.next_seq <- s.s_next_seq;
   t.processed <- s.s_processed;
-  t.horizon <- s.s_horizon;
+  t.horizon <- Int64.to_int s.s_horizon;
   t.cancelled <- s.s_cancelled;
   t.heap_peak <- s.s_heap_peak;
   (* Rewinding to an earlier snapshot must also rewind the flushed

@@ -1,9 +1,14 @@
 (** Discrete-event simulation engine.
 
     Time is measured in cycles (an [int64], matching the paper's 2 GHz
-    clock). Events scheduled for the same cycle run in scheduling order,
-    so a run is fully deterministic — the delivery order is exactly
-    [(time, seq)], where [seq] is the order of scheduling.
+    clock), kept inside as a native [int]: the [int64] functions
+    convert, and raise [Invalid_argument] past [max_int] (2{^62} - 1
+    cycles, 73 years at 2 GHz). Per-event paths use {!clock},
+    {!at_int} and {!after_int}, since an [int64] crossing a module
+    boundary is boxed. Events scheduled for the same cycle run in
+    scheduling order, so a run is fully deterministic — the delivery
+    order is exactly [(time, seq)], where [seq] is the order of
+    scheduling.
 
     The queue is a hierarchical timer wheel ({!Semper_util.Wheel}):
     O(1) schedule, O(1) cancel (the event's intrusive cell is unlinked
@@ -34,7 +39,8 @@
 
 type t
 
-(** A cancellable event. Handles are single-engine: each handle is
+(** A cancellable event: the event's own queue cell, pending exactly
+    while it is queued. Handles are single-engine: each handle is
     stamped with the issuing engine's instance id, and [cancel] raises
     [Invalid_argument] for a pending handle stamped by a different
     engine. Handles do {e not} survive a checkpoint restore: the
@@ -51,13 +57,24 @@ val create : ?obs:Semper_obs.Obs.Registry.t -> unit -> t
 (** Current simulation time in cycles. *)
 val now : t -> int64
 
+(** [now] as an immediate [int]. *)
+val clock : t -> int
+
 (** [at t time f] schedules [f] to run at absolute cycle [time].
-    Raises [Invalid_argument] if [time] is in the past. *)
+    Raises [Invalid_argument] if [time] is in the past or beyond the
+    clock's range. *)
 val at : t -> int64 -> (unit -> unit) -> unit
 
 (** [after t delay f] schedules [f] to run [delay] cycles from now.
-    Raises [Invalid_argument] on a negative delay. *)
+    Raises [Invalid_argument] on a negative delay, or on one whose
+    target time is beyond the clock's range. *)
 val after : t -> int64 -> (unit -> unit) -> unit
+
+(** [at] and [after] on [int] cycles. Scheduling allocates one queue
+    cell and nothing else. *)
+val at_int : t -> int -> (unit -> unit) -> unit
+
+val after_int : t -> int -> (unit -> unit) -> unit
 
 (** As [at], returning a handle that {!cancel} accepts. *)
 val at_cancellable : t -> int64 -> (unit -> unit) -> handle
@@ -81,7 +98,8 @@ val rebind : t -> unit
 (** Run until the event queue is empty, or until the optional [until]
     cycle (events strictly after it stay queued); the clock then
     follows the two rules of the module docs. Returns the number of
-    events executed by this call. *)
+    events executed by this call. Raises [Invalid_argument], before
+    firing anything, if [until] is beyond the clock's range. *)
 val run : ?until:int64 -> t -> int
 
 (** Total events executed since creation (excludes cancelled ones). *)

@@ -1,47 +1,59 @@
-type job = Fixed of { cost : int64; k : unit -> unit } | Dynamic of (unit -> int64 * (unit -> unit))
+type job = Fixed of { cost : int; k : unit -> unit } | Dynamic of (unit -> int64 * (unit -> unit))
 
 type t = {
   engine : Engine.t;
   name : string;
   waiting : job Queue.t;
   mutable in_service : bool;
-  mutable busy : int64;
+  (* The job in service, and its completion, built once in [create]. *)
+  mutable cost : int;
+  mutable post : unit -> unit;
+  mutable complete : unit -> unit;
+  mutable busy : int;
   mutable completed : int;
   mutable max_queue : int;
 }
 
+let start_next t =
+  if (not t.in_service) && not (Queue.is_empty t.waiting) then begin
+    t.in_service <- true;
+    (match Queue.pop t.waiting with
+     | Fixed { cost; k } ->
+       t.cost <- cost;
+       t.post <- k
+     | Dynamic f ->
+       let cost, post = f () in
+       if Int64.compare cost 0L < 0 then invalid_arg "Server: negative dynamic cost";
+       t.cost <- Int64.to_int cost;
+       t.post <- post);
+    Engine.after_int t.engine t.cost t.complete
+  end
+
 let create engine ~name =
-  {
-    engine;
-    name;
-    waiting = Queue.create ();
-    in_service = false;
-    busy = 0L;
-    completed = 0;
-    max_queue = 0;
-  }
+  let t =
+    {
+      engine;
+      name;
+      waiting = Queue.create ();
+      in_service = false;
+      cost = 0;
+      post = ignore;
+      complete = ignore;
+      busy = 0;
+      completed = 0;
+      max_queue = 0;
+    }
+  in
+  t.complete <-
+    (fun () ->
+      t.in_service <- false;
+      t.busy <- t.busy + t.cost;
+      t.completed <- t.completed + 1;
+      t.post ();
+      start_next t);
+  t
 
 let name t = t.name
-
-let rec start_next t =
-  if (not t.in_service) && not (Queue.is_empty t.waiting) then begin
-    let job = Queue.pop t.waiting in
-    t.in_service <- true;
-    let cost, post =
-      match job with
-      | Fixed { cost; k } -> (cost, k)
-      | Dynamic f ->
-        let cost, post = f () in
-        if Int64.compare cost 0L < 0 then invalid_arg "Server: negative dynamic cost";
-        (cost, post)
-    in
-    Engine.after t.engine cost (fun () ->
-        t.in_service <- false;
-        t.busy <- Int64.add t.busy cost;
-        t.completed <- t.completed + 1;
-        post ();
-        start_next t)
-  end
 
 let enqueue t job =
   Queue.push job t.waiting;
@@ -50,15 +62,15 @@ let enqueue t job =
 
 let submit t ~cost k =
   if Int64.compare cost 0L < 0 then invalid_arg "Server.submit: negative cost";
-  enqueue t (Fixed { cost; k })
+  enqueue t (Fixed { cost = Int64.to_int cost; k })
 
 let submit_work t f = enqueue t (Dynamic f)
 
-let busy_cycles t = t.busy
+let busy_cycles t = Int64.of_int t.busy
 let completed t = t.completed
 let queue_length t = Queue.length t.waiting
 let max_queue_length t = t.max_queue
 
 let utilisation t ~horizon =
   if Int64.compare horizon 0L <= 0 then 0.0
-  else Int64.to_float t.busy /. Int64.to_float horizon
+  else float_of_int t.busy /. Int64.to_float horizon

@@ -15,12 +15,13 @@ let slot_count = 1 lsl bits (* 32 *)
 let slot_mask = slot_count - 1
 let levels = 13 (* 13 * 5 = 65 bits >= 63-bit int range *)
 
+(* A cell that is not queued points at itself, so it needs no flag. *)
 type 'a cell = {
   w_time : int;
   w_value : 'a;
+  mutable w_stamp : int;
   mutable w_prev : 'a cell;
   mutable w_next : 'a cell;
-  mutable w_linked : bool;
 }
 
 type 'a t = {
@@ -28,25 +29,31 @@ type 'a t = {
   slots : 'a cell array;
   (* occupancy bitmap per level: bit s set iff slot s is non-empty. *)
   occ : int array;
+  (* Never linked: a fresh cell's first neighbour (so [add] builds no
+     recursive value) and [pop]'s "nothing due" (so no option). *)
+  none : 'a cell;
   mutable cur : int;
   mutable len : int;
 }
 
 let time c = c.w_time
 let value c = c.w_value
+let stamp c = c.w_stamp
+let linked c = c.w_next != c
+let none t = t.none
 let length t = t.len
-let cursor t = t.cur
 
 let create ~dummy () =
   let mk_sentinel () =
     let rec c =
-      { w_time = -1; w_value = dummy; w_prev = c; w_next = c; w_linked = false }
+      { w_time = -1; w_value = dummy; w_stamp = 0; w_prev = c; w_next = c }
     in
     c
   in
   {
     slots = Array.init (levels * slot_count) (fun _ -> mk_sentinel ());
     occ = Array.make levels 0;
+    none = mk_sentinel ();
     cur = 0;
     len = 0;
   }
@@ -62,12 +69,12 @@ let ctz32 x =
   !n
 
 (* Level for [time] under cursor [cur]: smallest l such that time and
-   cur agree above bit 5*(l+1). [time >= cur >= 0] ensures it exists
-   within [levels]. *)
+   cur agree above bit 5*(l+1). The top level spans every non-negative
+   int, so it needs no test (which would shift by 65, past the word). *)
 let level_of t ~time =
   let x = time lxor t.cur in
   let l = ref 0 in
-  while x lsr (bits * (!l + 1)) <> 0 do
+  while !l < levels - 1 && x lsr (bits * (!l + 1)) <> 0 do
     incr l
   done;
   !l
@@ -84,34 +91,31 @@ let link t c =
   c.w_next <- s;
   last.w_next <- c;
   s.w_prev <- c;
-  c.w_linked <- true;
   t.occ.(level) <- t.occ.(level) lor (1 lsl slot)
 
 let unlink t c ~level ~slot =
   c.w_prev.w_next <- c.w_next;
   c.w_next.w_prev <- c.w_prev;
-  c.w_linked <- false;
+  c.w_prev <- c;
+  c.w_next <- c;
   let s = t.slots.((level * slot_count) + slot) in
   if s.w_next == s then t.occ.(level) <- t.occ.(level) land lnot (1 lsl slot)
 
-let add t ~time v =
+let add t ~time ~stamp v =
   if time < t.cur || time < 0 then
     invalid_arg "Wheel.add: time precedes cursor";
-  let rec c =
-    { w_time = time; w_value = v; w_prev = c; w_next = c; w_linked = false }
+  let c =
+    { w_time = time; w_value = v; w_stamp = stamp; w_prev = t.none; w_next = t.none }
   in
   link t c;
   t.len <- t.len + 1;
   c
 
 let remove t c =
-  if not c.w_linked then false
-  else begin
+  if linked c then begin
     let level = level_of t ~time:c.w_time in
-    let slot = slot_index ~level ~time:c.w_time in
-    unlink t c ~level ~slot;
-    t.len <- t.len - 1;
-    true
+    unlink t c ~level ~slot:(slot_index ~level ~time:c.w_time);
+    t.len <- t.len - 1
   end
 
 (* Re-bucket every cell of level [level], slot [slot] one or more
@@ -132,36 +136,34 @@ let cascade t ~level ~slot =
     c := next
   done
 
-(* Lowest occupied (level, slot-with-span-containing-or-after-cursor),
-   scanning level by level. Returns the level and slot, or raises
-   Not_found if the wheel is empty. At level l the cursor's own slot is
-   (cur lsr 5l) land 31; any occupied slot at an index >= that (within
-   the cursor's current rotation at that level — guaranteed by the
-   shared-prefix placement rule) is reachable without wrapping. *)
-let next_occupied t =
-  let rec go level =
-    if level >= levels then raise Not_found
-    else
-      let base = (t.cur lsr (bits * level)) land slot_mask in
-      let m = t.occ.(level) land ((-1) lsl base) in
-      if m <> 0 then (level, ctz32 m) else go (level + 1)
-  in
-  go 0
+(* Occupied slots of [level] at or after the cursor's slot there, as
+   a bitmap. At level l the cursor's own slot is (cur lsr 5l) land 31;
+   any occupied slot at an index >= that (within the cursor's current
+   rotation at that level — guaranteed by the shared-prefix placement
+   rule) is reachable without wrapping. *)
+let occupied_from t level =
+  t.occ.(level) land ((-1) lsl ((t.cur lsr (bits * level)) land slot_mask))
+
+(* The lowest level, from [level] up, with such a slot: it holds the
+   earliest cell, and a non-empty wheel always has one. *)
+let rec lowest_occupied t level =
+  if occupied_from t level <> 0 then level else lowest_occupied t (level + 1)
 
 let rec pop t ~limit =
-  if t.len = 0 then None
+  if t.len = 0 then t.none
   else
-    let level, slot = next_occupied t in
+    let level = lowest_occupied t 0 in
+    let slot = ctz32 (occupied_from t level) in
     if level = 0 then begin
       let s = t.slots.(slot) in
       let c = s.w_next in
       (* Level-0 slots hold exactly one time value. *)
-      if c.w_time > limit then None
+      if c.w_time > limit then t.none
       else begin
         unlink t c ~level:0 ~slot;
         t.len <- t.len - 1;
         t.cur <- c.w_time;
-        Some c
+        c
       end
     end
     else begin
@@ -173,7 +175,7 @@ let rec pop t ~limit =
       let start = (t.slots.((level * slot_count) + slot)).w_next in
       let span_start = (start.w_time lsr span) lsl span in
       let span_start = if span_start < t.cur then t.cur else span_start in
-      if span_start > limit then None
+      if span_start > limit then t.none
       else begin
         t.cur <- span_start;
         cascade t ~level ~slot;
@@ -181,12 +183,12 @@ let rec pop t ~limit =
       end
     end
 
-let iter f t =
+let restamp t stamp =
   for i = 0 to (levels * slot_count) - 1 do
     let s = t.slots.(i) in
     let c = ref s.w_next in
     while !c != s do
-      f !c;
+      !c.w_stamp <- stamp;
       c := !c.w_next
     done
   done

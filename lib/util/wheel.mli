@@ -7,7 +7,7 @@
     operation O(1) instead of a binary heap's O(log n):
 
     - {!add} computes the cell's level/slot from the XOR of its time
-      with the wheel cursor (at most {!levels} probes) and appends it
+      with the wheel cursor (at most 13 probes) and appends it
       to an intrusive doubly-linked slot list;
     - {!remove} unlinks the cell in place — no lazy deletion, no
       compaction pass, no tombstones left for [pop] to skip;
@@ -41,31 +41,25 @@
 
 type 'a t
 
-(** A queued entry. The cell is the handle for {!remove}: engines keep
-    it inside their cancellable-timer handles. *)
+(** A queued entry: its time, its value and a caller-owned integer
+    stamp. The cell is the handle for {!remove}. *)
 type 'a cell
 
-(** Bits per level (5), slots per level (32), and level count (13). *)
-val bits : int
-
-val slot_count : int
-val levels : int
-
 (** [create ~dummy ()] is an empty wheel with its cursor at 0. [dummy]
-    fills the slot sentinels and is never returned. *)
+    fills the sentinel cells; only {!none} is ever returned. *)
 val create : dummy:'a -> unit -> 'a t
+
+(** The wheel's unlinked sentinel: what {!pop} returns when nothing is
+    due. Compare with [==]. *)
+val none : 'a t -> 'a cell
 
 (** Number of queued cells. *)
 val length : 'a t -> int
 
-(** The wheel's cursor: the latest tick it has drained up to. Always
-    at most the time of every queued cell. *)
-val cursor : 'a t -> int
-
-(** [add t ~time v] queues [v] at absolute tick [time] and returns its
-    cell. O(1). Raises [Invalid_argument] if [time] precedes the
-    cursor or is negative. *)
-val add : 'a t -> time:int -> 'a -> 'a cell
+(** [add t ~time ~stamp v] queues [v] at absolute tick [time] and
+    returns its cell, the only block it allocates. O(1). Raises
+    [Invalid_argument] if [time] precedes the cursor or is negative. *)
+val add : 'a t -> time:int -> stamp:int -> 'a -> 'a cell
 
 (** The cell's scheduled tick. *)
 val time : 'a cell -> int
@@ -73,17 +67,23 @@ val time : 'a cell -> int
 (** The queued value. *)
 val value : 'a cell -> 'a
 
-(** [remove t cell] unlinks a queued cell in O(1). Returns [false] if
-    the cell was already popped or removed (idempotent). *)
-val remove : 'a t -> 'a cell -> bool
+(** The stamp the cell was added or last re-stamped with. *)
+val stamp : 'a cell -> int
+
+(** Is the cell queued — added and neither popped nor removed? *)
+val linked : 'a cell -> bool
+
+(** [remove t cell] unlinks a queued cell in O(1); a no-op if the cell
+    was already popped or removed. *)
+val remove : 'a t -> 'a cell -> unit
 
 (** [pop t ~limit] unlinks and returns the earliest cell with
-    [time <= limit], advancing the cursor to its tick. Returns [None]
-    — without advancing the cursor past [limit] — when every queued
-    cell is later than [limit] or the wheel is empty. Amortized O(1)
-    plus the cascades the crossed span boundaries require. *)
-val pop : 'a t -> limit:int -> 'a cell option
+    [time <= limit], advancing the cursor to its tick. Returns
+    [none t] — without advancing the cursor past [limit] — when every
+    queued cell is later than [limit] or the wheel is empty. Allocates
+    nothing; amortized O(1) plus the cascades the crossed span
+    boundaries require. *)
+val pop : 'a t -> limit:int -> 'a cell
 
-(** [iter f t] applies [f] to every queued cell, in no particular
-    order. Used to re-stamp restored timer handles. *)
-val iter : ('a cell -> unit) -> 'a t -> unit
+(** [restamp t s] sets the stamp of every queued cell to [s]. *)
+val restamp : 'a t -> int -> unit

@@ -167,6 +167,24 @@ let test_fabric_injector_fifo_clamp () =
   ignore (Engine.run e);
   check Alcotest.(list string) "FIFO survives injection" [ "first"; "second" ] (List.rev !log)
 
+(* Allocation budgets in minor-heap words per operation (a send
+   includes its [run] call), with one preallocated callback; the
+   comments give the values of the fabric that computed in int64. *)
+let test_alloc_budget () =
+  let t = Topology.mesh ~width:4 ~height:4 in
+  (* was 6: two coordinate tuples *)
+  Alloc.check_words_per_call "Topology.hops" 0.0 (fun i -> ignore (Topology.hops t (i land 15) 15));
+  let e, f = make_fabric () in
+  let tick () = () in
+  (* The first message on a channel adds its FIFO-clamp entry. *)
+  Fabric.send f ~src:0 ~dst:5 ~bytes:64 tick;
+  ignore (Engine.run e);
+  (* was 65.1: boxed int64 latency and arrival, an option, plus the event *)
+  Alloc.check_words_per_call "Fabric.send + delivery" 12.0 (fun _ ->
+      Fabric.send f ~src:0 ~dst:5 ~bytes:64 tick;
+      ignore (Engine.run e));
+  check Alcotest.int "all delivered" 10_001 (Fabric.messages_delivered f)
+
 let suite =
   [
     Alcotest.test_case "mesh basics" `Quick test_mesh_basics;
@@ -182,4 +200,5 @@ let suite =
     Alcotest.test_case "fabric injector duplicate" `Quick test_fabric_injector_duplicate;
     Alcotest.test_case "fabric injector partial drop" `Quick test_fabric_partial_drop;
     Alcotest.test_case "fabric injector FIFO clamp" `Quick test_fabric_injector_fifo_clamp;
+    Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
   ]

@@ -238,17 +238,9 @@ let test_trace_jsonl () =
 (* ------------------------------------------------------------------ *)
 (* Allocation-free recording                                           *)
 
-(* Minor-heap words allocated by [n] calls of [f]; [Gc.minor_words] is
-   read unboxed, so the measurement itself allocates nothing. *)
-let minor_words_of n f =
-  let before = Gc.minor_words () in
-  for i = 1 to n do
-    f i
-  done;
-  Gc.minor_words () -. before
-
 let check_no_alloc what f =
-  check (Alcotest.float 0.0) (what ^ ": minor words over 10K calls") 0.0 (minor_words_of 10_000 f)
+  check (Alcotest.float 0.0) (what ^ ": minor words over 10K calls") 0.0
+    (Alloc.minor_words_of 10_000 f)
 
 let layout_mark = Obs.Trace.layout "marked=%d remote_msgs=%d"
 

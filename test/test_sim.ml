@@ -412,6 +412,57 @@ let test_server_queue_stats () =
   check Alcotest.int "drained" 0 (Server.queue_length s);
   check (Alcotest.float 1e-9) "utilisation" 1.0 (Server.utilisation s ~horizon:50L)
 
+(* The clock is an int inside the engine: a bounded run past its range
+   is refused before anything fires, and a delay that would carry the
+   clock past the range is refused rather than wrapped. *)
+let test_engine_until_beyond_range () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  Engine.after e 5L (fun () -> incr fired);
+  let range = Invalid_argument "Engine.run: time exceeds the timer-wheel range" in
+  Alcotest.check_raises "until = Int64.max_int" range (fun () ->
+      ignore (Engine.run ~until:Int64.max_int e));
+  Alcotest.check_raises "until = 2^62" range (fun () ->
+      ignore (Engine.run ~until:(Int64.shift_left 1L 62) e));
+  check Alcotest.int "nothing fired" 0 !fired;
+  check Alcotest.int64 "clock unmoved" 0L (Engine.now e);
+  let last = Int64.of_int max_int in
+  check Alcotest.int "largest until fires the queue" 1 (Engine.run ~until:last e);
+  check Alcotest.int64 "clock at the end of the range" last (Engine.now e);
+  let overflow = Invalid_argument "Engine.after: time exceeds the timer-wheel range" in
+  Alcotest.check_raises "after overflows" overflow (fun () -> Engine.after e 1L ignore);
+  Alcotest.check_raises "after_cancellable overflows" overflow (fun () ->
+      ignore (Engine.after_cancellable e Int64.max_int ignore));
+  Engine.after e 0L (fun () -> incr fired);
+  check Alcotest.int "zero delay still fires" 1 (Engine.run e);
+  check Alcotest.int "fired" 2 !fired
+
+(* Allocation budgets of the per-event paths, in minor-heap words per
+   operation (each one including its [run] call), with one preallocated
+   callback. The comments give the values of the engine whose queue
+   wrapped every event in a record and kept its clock in int64. *)
+let tick () = ()
+
+let test_engine_alloc_budget () =
+  let e = Engine.create () in
+  (* was 36.2: event record, handle option, boxed int64 times, pop's option *)
+  Alloc.check_words_per_call "after + fire" 6.0 (fun _ ->
+      Engine.after e 1L tick;
+      ignore (Engine.run e));
+  (* was 26 *)
+  Alloc.check_words_per_call "after_cancellable + cancel" 6.0 (fun _ ->
+      Engine.cancel e (Engine.after_cancellable e 1L tick))
+
+let test_server_alloc_budget () =
+  let e = Engine.create () in
+  let s = Server.create e ~name:"srv" in
+  (* was 54.2: a completion closure and a (cost, post) tuple per job *)
+  Alloc.check_words_per_call "submit + completion" 12.0 (fun _ ->
+      Server.submit s ~cost:10L tick;
+      ignore (Engine.run e));
+  check Alcotest.int "all served" 10_000 (Server.completed s);
+  check Alcotest.int64 "busy" 100_000L (Server.busy_cycles s)
+
 let suite =
   [
     Alcotest.test_case "engine time order" `Quick test_engine_order;
@@ -423,6 +474,7 @@ let suite =
     Alcotest.test_case "engine repeated bounded runs" `Quick test_engine_until_repeated;
     Alcotest.test_case "engine bounded run, same-time events" `Quick test_engine_until_same_time;
     Alcotest.test_case "engine rejects the past" `Quick test_engine_past_rejected;
+    Alcotest.test_case "engine rejects times beyond its range" `Quick test_engine_until_beyond_range;
     Alcotest.test_case "engine counters" `Quick test_engine_counts;
     Alcotest.test_case "cancel before fire (wheel)" `Quick test_cancel_before_fire;
     Alcotest.test_case "cancel after fire / double cancel" `Quick test_cancel_after_fire_and_double;
@@ -443,4 +495,6 @@ let suite =
     Alcotest.test_case "server dynamic cost" `Quick test_server_dynamic_cost;
     Alcotest.test_case "server zero cost" `Quick test_server_zero_cost;
     Alcotest.test_case "server queue stats" `Quick test_server_queue_stats;
+    Alcotest.test_case "engine allocation budget" `Quick test_engine_alloc_budget;
+    Alcotest.test_case "server allocation budget" `Quick test_server_alloc_budget;
   ]
