@@ -3,11 +3,10 @@
     With no argument, regenerates every table and figure of the paper's
     evaluation plus the ablations. Individual experiments can be named
     on the command line (table3, fig4, fig5, table4, fig6, fig7, fig8,
-    fig9, fig10, ablations, json, bechamel, wallclock). [json] writes
-    the headline numbers as BENCH_micro.json / BENCH_apps.json via the
-    deterministic {!Semperos.Obs.Json} emitter. [wallclock] measures
-    host events/sec over representative figures and writes
-    BENCH_wallclock.json (host-dependent, hence not part of [all]).
+    fig9, fig10, ablations, json, bechamel). [json] writes the headline
+    numbers as BENCH_micro.json / BENCH_apps.json via the deterministic
+    {!Semperos.Obs.Json} emitter. Host throughput of the simulator
+    itself is perfbench's job, not this harness's.
     [bechamel] runs host-side micro-measurements — one [Test.make] per table and figure — showing
     how long this simulator takes to regenerate a scaled-down version
     of each experiment. *)
@@ -88,7 +87,7 @@ let bechamel () =
 let usage () =
   prerr_endline
     "usage: main.exe [--jobs N] \
-     [table3|fig4|fig5|table4|fig6|fig7|fig8|fig9|fig10|ablations|json|bechamel|wallclock|batch|scale|all]";
+     [table3|fig4|fig5|table4|fig6|fig7|fig8|fig9|fig10|ablations|json|bechamel|balance|fleet|batch|scale|all]";
   prerr_endline
     "  --jobs N, -j N   run independent experiment points on N domains (default: cores; 1 = serial)";
   exit 2
@@ -124,9 +123,6 @@ let () =
       ("ablations", Experiments.ablations);
       ("json", Experiments.json_export);
       ("bechamel", bechamel);
-      (* Deliberately not part of [all]: its output is host-dependent,
-         and [all]'s output stays byte-identical across hosts. *)
-      ("wallclock", fun () -> Semper_harness.Wallclock.run ());
       (* Not part of [all] either: BENCH_balance.json is its own
          deliverable, regenerated only when the balancer changes. *)
       ("balance", fun () -> Semper_harness.Skew.bench ());
@@ -136,7 +132,8 @@ let () =
       (* Likewise: BENCH_batch.json is regenerated only when the
          batching fabric changes. *)
       ("batch", fun () -> Semper_harness.Batchbench.run ());
-      (* Host-dependent like wallclock, so also outside [all]. *)
+      (* Deliberately not part of [all]: its output is host-dependent,
+         and [all]'s output stays byte-identical across hosts. *)
       ("scale", fun () -> Semper_harness.Scale.run ());
       ("all", fun () -> Experiments.all (); bechamel ());
     ]

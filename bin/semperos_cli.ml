@@ -9,7 +9,7 @@
    semperos_cli record  — run a figure experiment with periodic checkpoints
    semperos_cli replay  — resume a recorded figure run from a checkpoint
    semperos_cli shrink  — minimise a failing fuzz case by delta debugging
-   semperos_cli bench   — wall-clock throughput of the simulator itself
+   semperos_cli bench   — standalone benchmark documents (BENCH_<mode>.json)
    semperos_cli stats   — run a workload, dump the metrics registry as JSON
    semperos_cli trace   — run a workload, dump the protocol trace as JSONL *)
 
@@ -589,9 +589,6 @@ let shrink_cmd =
 let bench_cmd =
   let run mode smoke out =
     match mode with
-    | "wallclock" ->
-      let preset = if smoke then Semper_harness.Wallclock.Smoke else Semper_harness.Wallclock.Full in
-      Semper_harness.Wallclock.run ~preset ?path:out ()
     | "balance" ->
       let preset = if smoke then Semper_harness.Skew.Smoke else Semper_harness.Skew.Full in
       Semper_harness.Skew.bench ~preset ?path:out ()
@@ -609,15 +606,12 @@ let bench_cmd =
       let preset = if smoke then Semper_harness.Scale.Smoke else Semper_harness.Scale.Full in
       Semper_harness.Scale.run ~preset ?path:out ()
     | m ->
-      Fmt.epr
-        "error: unknown bench mode %S (expected: wallclock, balance, fleet, batch, or scale)@." m;
+      Fmt.epr "error: unknown bench mode %S (expected: balance, fleet, batch, or scale)@." m;
       exit 2
   in
   let mode =
-    Arg.(value & pos 0 string "wallclock" & info [] ~docv:"MODE"
-         ~doc:
-           "Benchmark mode: $(b,wallclock), $(b,balance), $(b,fleet), $(b,batch), or \
-            $(b,scale).")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"MODE"
+         ~doc:"Benchmark mode: $(b,balance), $(b,fleet), $(b,batch), or $(b,scale).")
   in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
@@ -630,15 +624,14 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Standalone benchmark deliverables. $(b,wallclock) measures the simulator's own \
-          host throughput (events/s; host-dependent by construction, the only output exempt \
-          from the byte-identity contract). $(b,balance) runs the skewed-workload load-balancer \
+         "Standalone benchmark deliverables. $(b,balance) runs the skewed-workload load-balancer \
           ablation (BENCH_balance.json). $(b,fleet) runs the elastic-fleet autoscaling benchmark \
           (BENCH_fleet.json): an overloaded two-kernel system scaling out to absorb a surge and \
           back, with per-transition safety checks. $(b,batch) runs every workload with IKC batching off \
-          and on (BENCH_batch.json); both are deterministic. $(b,scale) measures throughput, \
-          heap, GC, and audit cost at 1K/2K/4K PEs (BENCH_scale.json; host-dependent like \
-          wallclock).")
+          and on (BENCH_batch.json); these three are deterministic. $(b,scale) measures throughput, \
+          heap, GC, and audit cost at 1K/2K/4K PEs (BENCH_scale.json; host-dependent, so \
+          exempt from the byte-identity contract). Host throughput of the simulator core is \
+          measured by perfbench.")
     Term.(const run $ mode $ smoke $ out)
 
 let nginx_cmd =

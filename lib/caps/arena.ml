@@ -298,26 +298,3 @@ let chain_to_list t ~head ~next id =
 
 let caps_of_vpe t ~vpe = chain_to_list t ~head:t.vpe_head ~next:t.vpe_next vpe
 let caps_of_pe t ~pe = chain_to_list t ~head:t.pe_head ~next:t.pe_next pe
-
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
-  Array.fill t.first_child 0 (Array.length t.first_child) nil;
-  Array.fill t.last_child 0 (Array.length t.last_child) nil;
-  Array.fill t.n_children 0 (Array.length t.n_children) 0;
-  Array.fill t.vpe_next 0 (Array.length t.vpe_next) nil;
-  Array.fill t.vpe_prev 0 (Array.length t.vpe_prev) nil;
-  Array.fill t.pe_next 0 (Array.length t.pe_next) nil;
-  Array.fill t.pe_prev 0 (Array.length t.pe_prev) nil;
-  Array.fill t.cell_next 0 (Array.length t.cell_next) nil;
-  Array.fill t.cell_prev 0 (Array.length t.cell_prev) nil;
-  Array.fill t.cell_key 0 (Array.length t.cell_key) dummy_key;
-  t.slot_free <- [];
-  t.cell_free <- [];
-  t.cell_cap <- 0;
-  t.live <- 0;
-  Key.Table.reset t.slot_of_key;
-  Hashtbl.reset t.vpe_head;
-  Hashtbl.reset t.vpe_tail;
-  Hashtbl.reset t.pe_head;
-  Hashtbl.reset t.pe_tail;
-  Hashtbl.reset t.childset

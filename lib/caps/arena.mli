@@ -67,6 +67,3 @@ val caps_of_vpe : t -> vpe:int -> Cap.t list
 (** Records whose key partition is [pe], in insertion order —
     O(records in the partition). *)
 val caps_of_pe : t -> pe:int -> Cap.t list
-
-(** Drop every record and cell; capacity is retained. *)
-val clear : t -> unit

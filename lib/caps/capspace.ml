@@ -64,13 +64,3 @@ let snapshot t =
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
     s_next_hint = t.next_hint;
   }
-
-let restore t s =
-  Hashtbl.reset t.slots;
-  Key.Table.reset t.rev;
-  List.iter
-    (fun (sel, key) ->
-      Hashtbl.replace t.slots sel key;
-      Key.Table.replace t.rev key sel)
-    s.s_slots;
-  t.next_hint <- s.s_next_hint

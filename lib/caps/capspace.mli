@@ -30,9 +30,8 @@ val remove_key : t -> Semper_ddl.Key.t -> unit
 val count : t -> int
 val iter : (selector -> Semper_ddl.Key.t -> unit) -> t -> unit
 
-(** Selector bindings plus the allocation hint, sorted by selector.
-    [restore] replaces the bindings wholesale. *)
+(** Selector bindings plus the allocation hint, sorted by selector: a
+    fingerprint input. *)
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -73,8 +73,8 @@ let fresh_obj t =
 let bump_obj t n = if n >= t.next_obj then t.next_obj <- n + 1
 
 (* Snapshots carry record copies plus their child keys, sorted by key:
-   no slot or cell index escapes, so images are portable across
-   allocation histories and fingerprints depend only on contents. *)
+   no slot or cell index escapes, so fingerprints depend only on
+   contents, not on allocation history. *)
 type snapshot = { s_caps : (Cap.t * Key.t list) list; s_next_obj : int }
 
 let snapshot t =
@@ -84,18 +84,6 @@ let snapshot t =
       |> List.sort (fun (a, _) (b, _) -> Key.compare a.Cap.key b.Cap.key);
     s_next_obj = t.next_obj;
   }
-
-let restore t s =
-  (* Both the discarded and the incoming contents must be re-audited. *)
-  iter (fun c -> touch t c.Cap.key) t;
-  Arena.clear t.arena;
-  List.iter
-    (fun (c, _) ->
-      Arena.insert t.arena (Cap.copy c);
-      touch t c.Cap.key)
-    s.s_caps;
-  List.iter (fun (c, kids) -> set_children t c.Cap.key kids) s.s_caps;
-  t.next_obj <- s.s_next_obj
 
 let check_local_links t =
   let errors = ref [] in

@@ -76,9 +76,9 @@ val caps_of_pe : t -> pe:int -> Cap.t list
 
 (** {2 Dirty partitions}
 
-    Every structural change (insert, remove, link, unlink, restore)
-    marks the partitions it touches. [drain_dirty] returns them
-    sorted and clears the set — the incremental audit's work list.
+    Every structural change (insert, remove, link, unlink) marks the
+    partitions it touches. [drain_dirty] returns them sorted and clears
+    the set — the incremental audit's work list.
     Host-side bookkeeping only: never part of snapshots, fingerprints,
     or simulated cost. *)
 val drain_dirty : t -> int list
@@ -97,13 +97,12 @@ val bump_obj : t -> int -> unit
     parent's child list, and vice versa. Returns error strings. *)
 val check_local_links : t -> string list
 
-(** Full copy of the database: every record (capability records are
-    pure data, so copies are deep) with its child keys, sorted by key,
-    plus the object-id cursor. No slot index escapes, so snapshots are
-    portable across allocation histories and restored databases
-    fingerprint identically. [restore] replaces the contents wholesale
-    and marks both the old and the new partitions dirty. *)
-type snapshot
+(** Full copy of the database, an input of the system fingerprint:
+    every record (capability records are pure data, so copies are deep)
+    with its child keys, sorted by key, plus the object-id cursor. No
+    slot index escapes, so databases with equal contents fingerprint
+    identically whatever their allocation history. The record is
+    exposed so tests can check it against a reference model. *)
+type snapshot = { s_caps : (Cap.t * Semper_ddl.Key.t list) list; s_next_obj : int }
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -6,6 +6,10 @@
 
     Layers (bottom up):
     - {!Engine}, {!Server}: discrete-event simulation substrate.
+    - {!Checkpoint}: whole-image checkpoints — the one way to resume a
+      run (fuzz, shrink, record/replay); re-stamp a loaded system with
+      {!System.rebind}. Per-layer snapshots only feed
+      {!System.fingerprint}.
     - {!Topology}, {!Fabric}: network-on-chip model.
     - {!Dtu}, {!Message}: data transfer units (endpoints, credits,
       message slots) — the M3 hardware substrate.
@@ -22,7 +26,8 @@
     - {!Fs_image}, {!M3fs}, {!Fs_client}: the m3fs in-memory filesystem
       service and its client library.
     - {!Trace}, {!Replay}, {!Workloads}: application traces.
-    - {!Experiment}, {!Nginx_bench}: the paper's evaluation harness.
+    - {!Experiment}, {!Nginx_bench}, {!Microbench}, {!Figures}: the
+      paper's evaluation harness; {!Record} checkpoints figure runs.
     - {!Balance}, {!Skew}: the autonomic load balancer
       (occupancy-driven VPE migration) and its skewed-workload
       benchmark.
@@ -61,8 +66,6 @@ module Fault = Semper_fault.Fault
 module Fs_image = Semper_m3fs.Fs_image
 module M3fs = Semper_m3fs.M3fs
 module Fs_client = Semper_m3fs.Client
-module Pipe = Semper_pipe.Pipe
-module Cowfs = Semper_cowfs.Cowfs
 module Trace = Semper_trace.Trace
 module Trace_io = Semper_trace.Trace_io
 module Recorder = Semper_trace.Recorder
@@ -77,7 +80,6 @@ module Runner = Semper_harness.Runner
 module Figures = Semper_harness.Figures
 module Record = Semper_harness.Record
 module Bench_json = Semper_harness.Bench_json
-module Wallclock = Semper_harness.Wallclock
 module Batchbench = Semper_harness.Batchbench
 module Scale = Semper_harness.Scale
 module Balance = Semper_balance.Balance

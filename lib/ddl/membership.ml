@@ -123,12 +123,3 @@ let snapshot t =
     s_states = kernel_states t;
     s_sealed = t.sealed;
   }
-
-let restore t s =
-  Hashtbl.reset t.table;
-  List.iter (fun (pe, k) -> Hashtbl.replace t.table pe k) s.s_table;
-  Hashtbl.reset t.handoff;
-  List.iter (fun pe -> Hashtbl.replace t.handoff pe ()) s.s_handoff;
-  Hashtbl.reset t.states;
-  List.iter (fun (k, st) -> Hashtbl.replace t.states k st) s.s_states;
-  t.sealed <- s.s_sealed

@@ -116,11 +116,11 @@ val kernels : t -> kernel_id list
     marks. *)
 val copy : t -> t
 
-(** Closure-free image of the replica: assignments, handoff marks, and
-    the seal bit, sorted by PE. [restore] replaces the replica's
-    contents wholesale — including re-creating mid-handoff marks, so a
-    snapshot taken inside a [begin_handoff]/[complete_handoff] window
-    restores to exactly that window. *)
+(** Closure-free image of the replica, an input of the system
+    fingerprint: assignments, handoff marks, kernel states and the seal
+    bit, sorted by key. A snapshot taken inside a
+    [begin_handoff]/[complete_handoff] window records that window's
+    marks. *)
 type snapshot = {
   s_table : (int * kernel_id) list;
   s_handoff : int list;
@@ -129,4 +129,3 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -163,12 +163,11 @@ let send t ~ep ~bytes ~payload =
         Ok ()
       end
 
-(* The grid's mutable surface, endpoint by endpoint. Receive handlers
-   are closures and travel only inside whole-image checkpoints, so the
-   in-place restore requires every endpoint to already hold the same
-   configuration kind as the snapshot; what it restores is the volatile
-   part — credit windows, slot occupancy, the privilege bit, drop
-   counts. *)
+(* The grid's mutable surface, endpoint by endpoint, as a fingerprint
+   input. Receive handlers are closures and travel only inside
+   whole-image checkpoints, so the snapshot records each endpoint's
+   configuration kind plus its volatile part — credit windows, slot
+   occupancy, the privilege bit, drop counts. *)
 type ep_state = E_free | E_send of int  (* credits *) | E_receive of int  (* occupied *) | E_memory
 
 type dtu_state = {
@@ -199,28 +198,6 @@ let snapshot_grid grid =
       :: acc)
     grid.dtus []
   |> List.sort (fun a b -> Int.compare a.d_pe b.d_pe)
-
-let restore_grid grid s =
-  List.iter
-    (fun d ->
-      match Hashtbl.find_opt grid.dtus d.d_pe with
-      | None -> invalid_arg "Dtu.restore_grid: snapshot mentions a PE without a DTU"
-      | Some t ->
-        if Array.length d.d_eps <> Array.length t.endpoints then
-          invalid_arg "Dtu.restore_grid: endpoint count mismatch";
-        Array.iteri
-          (fun ep st ->
-            match (t.endpoints.(ep), st) with
-            | Free, E_free | Memory _, E_memory -> ()
-            | Send snd_ep, E_send credits -> snd_ep.credits <- credits
-            | Receive r, E_receive occupied -> r.occupied <- occupied
-            | _ ->
-              invalid_arg
-                (Printf.sprintf "Dtu.restore_grid: endpoint %d.%d kind mismatch" d.d_pe ep))
-          d.d_eps;
-        t.privileged <- d.d_privileged;
-        t.drops <- d.d_drops)
-    s
 
 let ack grid (msg : Message.t) =
   (match Hashtbl.find_opt grid.dtus msg.dst_pe with

@@ -123,13 +123,11 @@ val read : t -> ep:int -> offset:int64 -> bytes:int -> (unit -> unit) -> (unit, 
 
 val write : t -> ep:int -> offset:int64 -> bytes:int -> (unit -> unit) -> (unit, error) result
 
-(** Grid-wide image of every DTU's volatile state: per-endpoint credit
-    windows and slot occupancy, the privilege bit, and drop counts.
-    Receive handlers are closures and travel only inside whole-image
-    checkpoints, so [restore_grid] requires each endpoint to already
-    hold the snapshot's configuration kind ([Invalid_argument]
-    otherwise) and restores only the volatile part. *)
+(** Grid-wide image of every DTU's volatile state, an input of the
+    system fingerprint: per-endpoint configuration kind, credit windows
+    and slot occupancy, the privilege bit, and drop counts. Receive
+    handlers are closures and travel only inside whole-image
+    checkpoints. *)
 type snapshot
 
 val snapshot_grid : grid -> snapshot
-val restore_grid : grid -> snapshot -> unit

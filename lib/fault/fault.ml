@@ -118,18 +118,6 @@ let snapshot t =
     s_stalls = t.stats.stalls;
   }
 
-let restore t s =
-  Rng.restore t.rng s.s_rng;
-  Hashtbl.reset t.drops_by_pair;
-  List.iter (fun (pair, n) -> Hashtbl.replace t.drops_by_pair pair (ref n)) s.s_drops_by_pair;
-  Hashtbl.reset t.stalled_until;
-  List.iter (fun (pe, u) -> Hashtbl.replace t.stalled_until pe u) s.s_stalled_until;
-  t.total_drops <- s.s_total_drops;
-  t.stats.delays <- s.s_delays;
-  t.stats.dups <- s.s_dups;
-  t.stats.drops <- s.s_drops;
-  t.stats.stalls <- s.s_stalls
-
 (* Only retransmitted traffic may be dropped or duplicated: op-tagged
    request/reply pairs, the op-tagged notifications (remove_child,
    srv_announce — acked via the credit-return piggyback and retried

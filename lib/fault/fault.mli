@@ -77,12 +77,11 @@ val stats_line : t -> string
 val injector :
   t -> src:int -> dst:int -> tag:string -> now:int64 -> arrival:int64 -> int64 option list
 
-(** The plan's mutable cursor: RNG state, per-pair and total drop
-    budgets, open stall windows, and the injection statistics. A
-    restored plan continues its fault stream exactly where the snapshot
-    was taken — the property that makes faulty runs resumable
-    byte-identically. *)
+(** The plan's mutable cursor, an input of the system fingerprint: RNG
+    state, per-pair and total drop budgets, open stall windows, and the
+    injection statistics. A plan loaded from a checkpoint continues its
+    fault stream exactly where the image was taken — the property that
+    makes faulty runs resumable byte-identically. *)
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

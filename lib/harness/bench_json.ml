@@ -102,18 +102,6 @@ type shape = {
    baselines, so their shape cannot drift silently anyway). *)
 let shapes =
   [
-    ( "semperos-wallclock-1",
-      {
-        sh_top = [ "jobs"; "workloads" ];
-        sh_rows =
-          [
-            ( "workloads",
-              [
-                "name"; "wall_s"; "events_processed"; "events_per_s"; "events_cancelled";
-                "heap_peak"; "gc_minor_collections"; "gc_major_collections"; "gc_promoted_words";
-              ] );
-          ];
-      } );
     ( "semperos-batch-1",
       {
         sh_top = [ "jobs"; "samples" ];

@@ -299,9 +299,9 @@ let measure_sessions sp =
     r_audit_incremental_s = t_inc;
   }
 
-(* Serial like the wallclock bench: the point is a comparable
-   throughput trajectory versus PE count, and domain fan-out would
-   fold scheduler noise into every row. Throughput is events over the
+(* Serial on purpose: the point is a comparable throughput trajectory
+   versus PE count, and domain fan-out would fold scheduler noise into
+   every row. Throughput is events over the
    event-loop wall alone ({!Experiment.outcome.replay_wall_s}):
    charging image building and VPE spawning — which process no
    events — to events/s would make the figure measure setup, not the

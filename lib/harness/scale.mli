@@ -19,8 +19,8 @@
     [Sys_open_session] + [Sys_revoke] pair against a minimal session
     service. The [Full] preset drives one million sessions.
 
-    Like [BENCH_wallclock.json], the output measures the {e host} and
-    is excluded from the byte-identity contract. *)
+    The output measures the {e host} and is excluded from the
+    byte-identity contract. *)
 
 type preset =
   | Full  (** 1K / 2K / 4K PE application rows + a 1M-session row *)

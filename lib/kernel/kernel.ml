@@ -87,9 +87,9 @@ type counters = {
   (* Per-name histogram handles, each resolved on the name's first use
      (when the registry creates it) and reused after: end-to-end
      syscall latency keyed by syscall name, and acked op-tagged IKC
-     latency and retransmission counts keyed by message name. The
-     registry restores histograms in place, so a handle stays valid
-     across [System.restore]. *)
+     latency and retransmission counts keyed by message name. A
+     checkpoint marshals the registry and this table together, so a
+     loaded image's handles still point into its own registry. *)
   latencies : (string, Obs.Registry.histogram) Hashtbl.t;
   ikc_hists : (string, ikc_instruments) Hashtbl.t;
 }
@@ -432,13 +432,13 @@ let vpe_count t = Hashtbl.length t.vpes
 
 let register_service_handler t ~name handler = Hashtbl.replace t.pending_handlers name handler
 
-(* The kernel's data plane (mapping database, membership replica,
-   service directory, op-id cursor) restores in place; the control
-   plane (pending operations, retry timers, idempotency caches — all
-   carrying continuations or engine handles) travels only inside
-   whole-image checkpoints. The snapshot records the control plane's
-   op ids and sizes so a fingerprint distinguishes states and restore
-   can verify it is being applied to a matching control plane. *)
+(* The snapshot is a fingerprint input. It copies the kernel's data
+   plane (mapping database, membership replica, service directory,
+   op-id cursor, credit windows). The control plane (pending
+   operations, retry timers, idempotency caches — all carrying
+   continuations or engine handles) travels only inside whole-image
+   checkpoints, so the snapshot records just its op ids and sizes,
+   enough for a fingerprint to distinguish states. *)
 type snapshot = {
   s_mapdb : Mapdb.snapshot;
   s_membership : Membership.snapshot;
@@ -484,62 +484,6 @@ let snapshot t =
       |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b);
     s_vpes = sorted_keys t.vpes;
   }
-
-let restore t s =
-  (* The idempotency caches (remote ops, completed acks) and eviction
-     queue are validated too: they only ever grow during traffic, so a
-     control plane that handled syscalls since the snapshot is caught
-     here even when its event queue drained back to the snapshot's
-     shape — which the timer wheel's eager cancellation makes routine. *)
-  if
-    sorted_keys t.pending_ops <> s.s_pending_ops
-    || sorted_keys t.retry_msgs <> s.s_retry_ops
-    || sorted_keys t.remote_ops <> s.s_remote_ops
-    || sorted_keys t.completed_acks <> s.s_completed_acks
-    || Queue.length t.evictions <> s.s_evictions
-  then
-    invalid_arg
-      "Kernel.restore: live control plane does not match the snapshot (pending operations are \
-       restored only by whole-image checkpoints)";
-  Mapdb.restore t.mapdb s.s_mapdb;
-  Membership.restore t.membership s.s_membership;
-  Hashtbl.reset t.directory;
-  List.iter (fun (name, key) -> Hashtbl.replace t.directory name key) s.s_directory;
-  t.next_op <- s.s_next_op;
-  List.iter
-    (fun (peer, credits, queued) ->
-      match Hashtbl.find_opt t.credits peer with
-      | Some (c, q) ->
-        if Queue.length q <> queued then
-          invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        c := credits
-      | None ->
-        if queued <> 0 then
-          invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        Hashtbl.replace t.credits peer (ref credits, Queue.create ()))
-    s.s_credits;
-  (* Batch queues hold closures' worth of in-flight protocol state only
-     via plain messages awaiting a flush tick; like credit queues they
-     are validated, not rebuilt (whole-image checkpoints carry them). *)
-  List.iter
-    (fun (peer, queued) ->
-      let live =
-        match Hashtbl.find_opt t.batch_queues peer with
-        | Some bs -> Queue.length bs.bq
-        | None -> 0
-      in
-      if live <> queued then
-        invalid_arg "Kernel.restore: queued batched sends do not match the snapshot")
-    s.s_batch;
-  (* Owed-credit state is plain data and restores fully. *)
-  List.iter
-    (fun (peer, left, acks) ->
-      match Hashtbl.find_opt t.batch_owed peer with
-      | Some o ->
-        o.o_left <- left;
-        o.o_acks <- acks
-      | None -> Hashtbl.replace t.batch_owed peer { o_left = left; o_acks = acks })
-    s.s_batch_owed
 
 let lookup_service t name = Hashtbl.find_opt t.directory name
 

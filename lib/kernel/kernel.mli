@@ -215,15 +215,14 @@ val quiescence_report : t -> string
     invariants; returns human-readable violations (empty = healthy). *)
 val check_invariants : t -> string list
 
-(** Closure-free image of the kernel. The data plane — mapping
-    database, membership replica (including mid-handoff marks),
-    service directory, op-id cursor, per-peer credit windows — restores
-    in place; the control plane (pending operations, retry timers,
-    idempotency caches, which carry continuations and engine handles)
-    travels only inside whole-image checkpoints, so the snapshot
-    records its op ids and sizes and [restore] raises
-    [Invalid_argument] if the live control plane does not match. *)
+(** Closure-free image of the kernel, an input of
+    {!System.fingerprint}. It copies the data plane: mapping database,
+    membership replica (including mid-handoff marks), service
+    directory, op-id cursor and per-peer credit windows. The control
+    plane (pending operations, retry timers, idempotency caches, which
+    carry continuations and engine handles) travels only inside
+    whole-image checkpoints, so the snapshot records just its op ids
+    and sizes. *)
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

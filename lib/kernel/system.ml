@@ -322,42 +322,12 @@ let snapshot t =
    continuations summarised), so Marshal is deterministic for equal
    states and the digest is a usable integrity fingerprint.
    [No_sharing] keeps the digest a function of structural content
-   alone: a restored system rebuilds the same values with a different
-   physical sharing graph (e.g. trace-ring events no longer share
-   their kind strings with events recorded after resume), and
-   sharing-aware marshalling would tell those states apart. *)
+   alone: a system loaded from a checkpoint rebuilds the same values
+   with a different physical sharing graph (e.g. trace-ring events no
+   longer share their kind strings with events recorded after resume),
+   and sharing-aware marshalling would tell those states apart. *)
 let fingerprint t =
   Digest.to_hex (Digest.bytes (Marshal.to_bytes (snapshot t) [ Marshal.No_sharing ]))
-
-let restore t s =
-  (* Kernels first: their restore validates that the live control
-     plane (pending ops, idempotency caches) still matches the
-     snapshot and refuses otherwise, so a divergent system is rejected
-     before any other module has been mutated. *)
-  List.iter (fun (i, ks) -> Kernel.restore (kernel t i) ks) s.s_kernels;
-  Engine.restore t.engine s.s_engine;
-  Fabric.restore t.fabric s.s_fabric;
-  Dtu.restore_grid t.grid s.s_dtus;
-  Membership.restore t.membership s.s_membership;
-  (match (t.fault, s.s_fault) with
-  | Some plan, Some fs -> Fault.restore plan fs
-  | None, None -> ()
-  | _ -> invalid_arg "System.restore: fault plan presence does not match the snapshot");
-  Obs.Registry.restore t.obs s.s_obs;
-  Obs.Trace.restore t.trace s.s_trace;
-  List.iter
-    (fun (id, vs) ->
-      match Hashtbl.find_opt t.vpes id with
-      | Some v -> Vpe.restore v vs
-      | None -> invalid_arg "System.restore: snapshot mentions a VPE this system never spawned")
-    s.s_vpes;
-  Array.iteri
-    (fun i pes ->
-      let g = t.groups.(i) in
-      Queue.clear g.free;
-      List.iter (fun pe -> Queue.push pe g.free) pes)
-    s.s_groups;
-  t.next_vpe <- s.s_next_vpe
 
 let rebind t = Engine.rebind t.engine
 

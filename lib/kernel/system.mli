@@ -123,28 +123,24 @@ val check_invariants : t -> string list
     its keys lands there. *)
 val migrate_vpe : t -> Vpe.t -> to_kernel:int -> unit
 
-(** Closure-free image of the whole simulation, composed from every
-    layer's snapshot: engine scalars, fabric FIFO clamps, DTU credit
-    windows, membership replicas (system-level and per-kernel,
-    including mid-handoff marks), the fault plan's RNG cursor and
-    budgets, the metrics registry, the trace ring, per-kernel data
-    planes, and per-VPE state. Everything that carries closures (the
+(** Closure-free image of the whole simulation, the input of
+    {!fingerprint}. It is composed from every layer's snapshot: engine
+    scalars, fabric FIFO clamps, DTU credit windows, membership
+    replicas (system-level and per-kernel, including mid-handoff
+    marks), the fault plan's RNG cursor and budgets, the metrics
+    registry, the trace ring, per-kernel data planes, and per-VPE
+    state. Everything that carries closures (the
     event queue, pending protocol operations, reply continuations)
     travels only inside whole-image checkpoints ({!Semper_sim.Checkpoint});
     the snapshot summarises it so {!fingerprint} still distinguishes
-    states. *)
+    states. Resuming always goes through a checkpoint plus {!rebind};
+    a snapshot is never written back. *)
 type snapshot
 
 val snapshot : t -> snapshot
 
-(** In-place restore of every layer's snapshot onto a system of the
-    same shape. Raises [Invalid_argument] when shapes or the
-    closure-bearing control planes do not match (see
-    {!Kernel.restore}). *)
-val restore : t -> snapshot -> unit
-
 (** Hex digest of {!snapshot} — the integrity fingerprint stored in
-    checkpoint images and re-verified after restore. Deterministic:
+    checkpoint images and re-verified after loading one. Deterministic:
     equal states yield equal fingerprints. *)
 val fingerprint : t -> string
 

@@ -37,6 +37,9 @@ let make ~id ~pe ~kernel =
 
 let is_alive t = t.state = Running
 
+(* [reply_k] (a continuation) and the inbox messages travel only inside
+   whole-image checkpoints; the snapshot records their presence so a
+   fingerprint distinguishes states. *)
 type snapshot = {
   s_id : int;
   s_pe : int;
@@ -69,22 +72,6 @@ let snapshot t =
     s_accept_exchange = t.accept_exchange;
     s_inbox = Queue.length t.inbox;
   }
-
-(* [reply_k] (a continuation) and the inbox messages travel only inside
-   whole-image checkpoints; the snapshot records their presence so a
-   fingerprint distinguishes states, and [restore] checks consistency
-   instead of overwriting them. *)
-let restore t s =
-  if t.id <> s.s_id || t.pe <> s.s_pe then invalid_arg "Vpe.restore: snapshot of a different VPE";
-  t.kernel <- s.s_kernel;
-  Semper_caps.Capspace.restore t.capspace s.s_capspace;
-  t.state <- s.s_state;
-  t.syscall_pending <- s.s_syscall_pending;
-  t.frozen <- s.s_frozen;
-  t.syscall_name <- s.s_syscall_name;
-  t.syscall_start <- s.s_syscall_start;
-  t.span <- s.s_span;
-  t.accept_exchange <- s.s_accept_exchange
 
 let pp ppf t =
   Format.fprintf ppf "vpe%d@pe%d(k%d,%s)" t.id t.pe t.kernel

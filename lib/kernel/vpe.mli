@@ -33,13 +33,11 @@ val make : id:int -> pe:int -> kernel:int -> t
 val is_alive : t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** Closure-free image of the VPE: identity, owning kernel, capability
-    space, run state, and the in-flight-syscall bookkeeping. The reply
-    continuation and inbox messages travel only inside whole-image
-    checkpoints; the snapshot records their presence (so fingerprints
-    distinguish states) and [restore] leaves them untouched. [restore]
-    raises [Invalid_argument] when applied to a different VPE. *)
+(** Closure-free image of the VPE, an input of the system fingerprint:
+    identity, owning kernel, capability space, run state, and the
+    in-flight-syscall bookkeeping. The reply continuation and inbox
+    messages travel only inside whole-image checkpoints; the snapshot
+    records their presence so fingerprints distinguish states. *)
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

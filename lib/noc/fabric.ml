@@ -120,10 +120,10 @@ let send_tagged t ~tag ~src ~dst ~bytes k =
 
 let send t ~src ~dst ~bytes k = send_tagged t ~tag:"" ~src ~dst ~bytes k
 
-(* The traffic counters live in the metrics registry and are restored
-   with it (Obs.Registry.restore); in-flight deliveries are engine
-   events and travel inside whole-image checkpoints. What remains here
-   is the pairwise FIFO clamp. *)
+(* The traffic counters live in the metrics registry and are
+   fingerprinted with it; in-flight deliveries are engine events and
+   travel inside whole-image checkpoints. What remains here is the
+   pairwise FIFO clamp. *)
 (* Canonical form — sorted (slot, cycle) pairs — so equal clamp states
    marshal to equal bytes no matter what internal layout the live
    table's insertion history produced ([System.fingerprint] hashes the
@@ -140,10 +140,6 @@ let snapshot t =
     t.last_delivery;
   Array.sort compare a;
   { s_last_delivery = a }
-
-let restore t s =
-  Hashtbl.reset t.last_delivery;
-  Array.iter (fun (k, v) -> Hashtbl.replace t.last_delivery k v) s.s_last_delivery
 
 let messages t = Obs.Registry.value t.messages
 let bytes_carried t = Obs.Registry.value t.bytes

@@ -79,12 +79,11 @@ val bytes_delivered : t -> int
     message count per copy). *)
 val dropped : t -> int
 
-(** The fabric's own mutable surface: the pairwise-FIFO last-delivery
-    clamp. Traffic counters live in the metrics registry (restored via
-    [Obs.Registry.restore]); in-flight deliveries are engine events and
-    travel inside whole-image checkpoints. [restore] raises
-    [Invalid_argument] on a topology-size mismatch. *)
+(** The fabric's own mutable surface, the pairwise-FIFO last-delivery
+    clamp, as an input of the system fingerprint. Traffic counters live
+    in the metrics registry and are fingerprinted with it; in-flight
+    deliveries are engine events and travel inside whole-image
+    checkpoints. *)
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

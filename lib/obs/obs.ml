@@ -365,10 +365,9 @@ module Registry = struct
     Hashtbl.fold (fun name _ acc -> name :: acc) t.instruments []
     |> List.sort String.compare
 
-  (* Closure-free image of every instrument, keyed and sorted by name.
-     Gauges are sampled (their value is derived from live state and is
-     recomputed, not restored); counters and histograms restore in
-     place. *)
+  (* Closure-free image of every instrument, keyed and sorted by name:
+     a fingerprint input. Gauges are sampled, since their value is
+     derived from live state. *)
   type instrument_state =
     | S_counter of int
     | S_gauge of float
@@ -388,33 +387,6 @@ module Registry = struct
         in
         (name, st))
       (names t)
-
-  let restore t state =
-    List.iter
-      (fun (name, st) ->
-        match (Hashtbl.find_opt t.instruments name, st) with
-        | Some (Counter c), S_counter v -> c.count <- v
-        | None, S_counter v -> Hashtbl.add t.instruments name (Counter { count = v })
-        | (Some (Gauge _) | None), S_gauge _ -> ()
-        | Some (Histogram h), S_histogram { h_buckets; h_acc = a } ->
-          if Array.length h_buckets <> Array.length h.bucket_counts then
-            invalid_arg
-              (Printf.sprintf "Obs.Registry.restore: histogram %s has different buckets" name);
-          Array.blit h_buckets 0 h.bucket_counts 0 (Array.length h_buckets);
-          h.n <- a.Stats.Acc.s_n;
-          h.m.sum <- a.s_sum;
-          h.m.mean <- a.s_mean;
-          h.m.m2 <- a.s_m2;
-          h.m.lo <- a.s_min;
-          h.m.hi <- a.s_max
-        | Some other, _ ->
-          invalid_arg
-            (Printf.sprintf "Obs.Registry.restore: %s is a %s in the live registry" name
-               (kind_name other))
-        | None, S_histogram _ ->
-          invalid_arg
-            (Printf.sprintf "Obs.Registry.restore: histogram %s missing from live registry" name))
-      state
 
   (* The snapshot is sorted by instrument name so that lazy creation
      order (which depends on which ops a workload happens to exercise
@@ -592,25 +564,10 @@ module Trace = struct
       (events t);
     Buffer.contents buf
 
-  (* The checkpoint image keeps the slot-for-slot [event] array it has
+  (* The fingerprint input keeps the slot-for-slot [event] array it has
      always had, details rendered, so fingerprints do not depend on how
      the live ring stores them. *)
   type state = { st_ring : event array; st_recorded : int }
 
   let dump t = { st_ring = Array.init t.capacity (event_at t); st_recorded = t.recorded }
-
-  let restore t s =
-    if Array.length s.st_ring <> t.capacity then
-      invalid_arg "Obs.Trace.restore: ring capacity does not match the snapshot";
-    Array.iteri
-      (fun i e ->
-        t.stamps.(i) <- Int64.to_int e.ts;
-        t.kinds.(i) <- e.kind;
-        t.ops.(i) <- e.op;
-        t.srcs.(i) <- e.src;
-        t.dsts.(i) <- e.dst;
-        t.texts.(i) <- e.detail;
-        t.fmts.(i) <- Text)
-      s.st_ring;
-    t.recorded <- s.st_recorded
 end

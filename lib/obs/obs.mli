@@ -75,12 +75,9 @@ module Registry : sig
   val snapshot : t -> Json.t
 
   (** Closure-free image of every instrument, sorted by name — the
-      registry's contribution to a checkpoint. Gauges are sampled into
-      the dump (their value is derived from live simulation state) but
-      skipped on restore; counters and histograms restore in place.
-      [restore] creates counters the live registry has not lazily
-      created yet, and raises [Invalid_argument] on a kind or bucket
-      mismatch rather than misapplying state. *)
+      registry's input to [System.fingerprint]. Gauges are sampled into
+      the dump, since their value is derived from live simulation
+      state. *)
   type instrument_state =
     | S_counter of int
     | S_gauge of float
@@ -89,7 +86,6 @@ module Registry : sig
   type state = (string * instrument_state) list
 
   val dump : t -> state
-  val restore : t -> state -> unit
 end
 
 (** Bounded ring buffer of trace events, ordered by insertion (which,
@@ -149,11 +145,9 @@ module Trace : sig
   (** All retained events as JSON Lines (one object per line). *)
   val to_jsonl : t -> string
 
-  (** Ring contents plus the recorded count, for checkpoint/restore.
-      [restore] raises [Invalid_argument] if the live ring's capacity
-      differs from the snapshot's. *)
+  (** Ring contents, details rendered, plus the recorded count — the
+      ring's input to [System.fingerprint]. *)
   type state
 
   val dump : t -> state
-  val restore : t -> state -> unit
 end

@@ -3,15 +3,15 @@ module Wheel = Semper_util.Wheel
 
 (* Every event is one wheel cell, stamped with the issuing engine's id
    so that [cancel] never unlinks a cell of a foreign wheel. Cells
-   travel inside checkpoint images by marshalled sharing, so a restored
-   handle still points into the restored wheel. *)
+   travel inside checkpoint images by marshalled sharing, so a handle
+   loaded from an image still points into the loaded wheel. *)
 type handle = (unit -> unit) Wheel.cell
 
 type t = {
   mutable uid : int;
   mutable clock : int;
   (* Events ever scheduled; the wheel's insertion order is this
-     sequence, and [restore] uses it to detect a queue that moved on. *)
+     sequence. *)
   mutable next_seq : int;
   mutable processed : int;
   (* Latest time ever scheduled, cancelled or not. A drained unbounded
@@ -23,25 +23,22 @@ type t = {
   mutable cancelled : int;
   (* Largest live occupancy of the wheel. *)
   mutable heap_peak : int;
-  (* High-water marks already pushed into [Totals]. *)
+  (* High-water mark already pushed into [Totals]. *)
   mutable flushed_processed : int;
-  mutable flushed_cancelled : int;
   wheel : (unit -> unit) Wheel.t;
   ctr_cancelled : Obs.Registry.counter option;
 }
 
-(* Process-wide totals across every engine, for wall-clock benchmarking
+(* Process-wide totals across every engine, for host-side benchmarking
    of the simulator itself (the per-run registries die with their
    systems, and sweeps fan systems out across domains — hence atomics).
    Flushed from the per-engine fields at the end of each [run] call,
    not per event. *)
 module Totals = struct
   let processed_a = Atomic.make 0
-  let cancelled_a = Atomic.make 0
   let heap_peak_a = Atomic.make 0
 
   let processed () = Atomic.get processed_a
-  let cancelled () = Atomic.get cancelled_a
   let heap_peak () = Atomic.get heap_peak_a
   let reset_heap_peak () = Atomic.set heap_peak_a 0
 
@@ -67,7 +64,6 @@ let create ?obs () =
       cancelled = 0;
       heap_peak = 0;
       flushed_processed = 0;
-      flushed_cancelled = 0;
       wheel = Wheel.create ~dummy:ignore ();
       ctr_cancelled =
         Option.map (fun r -> Obs.Registry.counter r "engine.events_cancelled") obs;
@@ -112,7 +108,8 @@ let after t delay run = ignore (after_cancellable t delay run)
 let cancel t h =
   if Wheel.linked h then begin
     if Wheel.stamp h <> t.uid then
-      invalid_arg "Engine.cancel: handle belongs to a different engine (or a stale restore)";
+      invalid_arg
+        "Engine.cancel: handle belongs to a different engine (or a loaded image not rebound)";
     Wheel.remove t.wheel h;
     t.cancelled <- t.cancelled + 1;
     Option.iter Obs.Registry.incr t.ctr_cancelled
@@ -140,9 +137,7 @@ let run ?until t =
   let target = match until with Some _ -> limit | None -> t.horizon in
   if target > t.clock then t.clock <- target;
   Totals.add Totals.processed_a (t.processed - t.flushed_processed);
-  Totals.add Totals.cancelled_a (t.cancelled - t.flushed_cancelled);
   t.flushed_processed <- t.processed;
-  t.flushed_cancelled <- t.cancelled;
   Totals.max_to Totals.heap_peak_a t.heap_peak;
   count
 
@@ -179,30 +174,3 @@ let snapshot t =
     s_heap_peak = t.heap_peak;
     s_queued = Wheel.length t.wheel;
   }
-
-let restore t s =
-  if Wheel.length t.wheel <> s.s_queued then
-    invalid_arg "Engine.restore: queue length does not match the snapshot";
-  (* A non-empty queue carries closures the snapshot cannot describe,
-     so it must be byte-for-byte the snapshot's queue already (whole-
-     image checkpoint first); equal length is the cheap check and the
-     sequence counter catches control planes that merely drained back
-     to the same length, which eager cancellation makes possible. An
-     empty queue is different: [s_queued = 0] fully describes it, so
-     rewinding a quiescent engine to a quiescent snapshot is complete
-     and allowed even though [next_seq] moved. *)
-  if s.s_queued > 0 && t.next_seq <> s.s_next_seq then
-    invalid_arg "Engine.restore: engine scheduled events since the snapshot";
-  t.clock <- Int64.to_int s.s_clock;
-  t.next_seq <- s.s_next_seq;
-  t.processed <- s.s_processed;
-  t.horizon <- Int64.to_int s.s_horizon;
-  t.cancelled <- s.s_cancelled;
-  t.heap_peak <- s.s_heap_peak;
-  (* Rewinding to an earlier snapshot must also rewind the flushed
-     high-water marks: the events between the snapshot and now will
-     re-execute, and [Totals] should count that replayed work. Left at
-     their pre-restore values the next flush delta goes negative and
-     [Totals.add] silently drops everything up to the old mark. *)
-  t.flushed_processed <- min t.flushed_processed s.s_processed;
-  t.flushed_cancelled <- min t.flushed_cancelled s.s_cancelled

@@ -120,10 +120,9 @@ val heap_peak : t -> int
 val pending : t -> int
 
 (** Closure-free image of the engine's scalar state (clock, sequence
-    and event counters, horizon, queue length). The event queue itself
-    carries closures and travels only inside whole-image checkpoints
-    (see {!Checkpoint}); the snapshot is used to fingerprint a state
-    and to re-synchronise counters after such a restore. *)
+    and event counters, horizon, queue length), an input of the system
+    fingerprint. The event queue itself carries closures and travels
+    only inside whole-image checkpoints (see {!Checkpoint}). *)
 type snapshot = {
   s_clock : int64;
   s_next_seq : int;
@@ -136,27 +135,11 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-(** Restore the scalar state captured by {!snapshot}. The queue is
-    untouched, so when the snapshot has queued events the engine's
-    current queue must already match it — [s_queued] is checked, and
-    [s_next_seq] too, which catches control planes that moved on and
-    drained back to the snapshot's queue length (possible because
-    cancels leave the queue at once); raises [Invalid_argument]
-    otherwise. The intended caller restores the event queue via a
-    whole-image checkpoint first. A {e quiescent} rewind — both the
-    snapshot and the engine with empty queues — is always allowed:
-    an empty queue carries no closures, so the restore is complete.
-    Also rewinds the {!Totals} flush marks so work replayed after the
-    restore is counted again rather than vanishing into a negative
-    flush delta. *)
-val restore : t -> snapshot -> unit
-
 (** Process-wide totals over every engine ever created, including those
     running on other domains during parallel sweeps. Used by the
-    wall-clock benchmark; flushed at the end of each [run] call. *)
+    scale benchmark; flushed at the end of each [run] call. *)
 module Totals : sig
   val processed : unit -> int
-  val cancelled : unit -> int
 
   (** Maximum {!heap_peak} over all engines so far. *)
   val heap_peak : unit -> int

@@ -53,4 +53,3 @@ let choose t arr =
 type snapshot = int64
 
 let snapshot t = t.state
-let restore t s = t.state <- s

@@ -38,10 +38,8 @@ val shuffle : t -> 'a array -> unit
 (** [choose t arr] is a uniformly drawn element. Raises on empty array. *)
 val choose : t -> 'a array -> 'a
 
-(** The generator's cursor. SplitMix64 carries its whole state in one
-    word, so a snapshot is just that word; restoring it resumes the
-    stream at exactly the draw where the snapshot was taken. *)
+(** The generator's cursor, a fingerprint input. SplitMix64 carries
+    its whole state in one word, so a snapshot is just that word. *)
 type snapshot = int64
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -1,7 +1,7 @@
-(* Tests for the checkpoint/restore layer: image format validation,
-   per-module snapshot round-trips, whole-system fingerprints, fuzz
-   cases frozen mid-run, and snapshots taken inside a migration
-   handoff window — including a revocation parked by
+(* Tests for whole-image checkpoints, the one way to resume a run:
+   image format validation, per-module image round-trips, whole-system
+   fingerprints, fuzz cases frozen mid-run, and images taken inside a
+   migration handoff window — including a revocation parked by
    [defer_revoke_child] that must complete after resume. *)
 
 open Semperos
@@ -88,7 +88,12 @@ let test_file_roundtrip () =
   expect_error "missing file" (Checkpoint.read (path ^ ".does-not-exist"))
 
 (* ------------------------------------------------------------------ *)
-(* Module snapshots                                                    *)
+(* Module images                                                       *)
+
+let load_exn ~kind img =
+  match Checkpoint.load ~kind img with
+  | Ok (_, v) -> v
+  | Error e -> Alcotest.failf "load: %s" e
 
 let test_rng_snapshot_resumes_stream () =
   let rng = Rng.create 0xfeedL in
@@ -96,9 +101,11 @@ let test_rng_snapshot_resumes_stream () =
     ignore (Rng.next rng)
   done;
   let snap = Rng.snapshot rng in
+  let img = Checkpoint.save ~kind:"rng" rng in
   let tail = List.init 10 (fun _ -> Rng.next rng) in
-  Rng.restore rng snap;
-  let replayed = List.init 10 (fun _ -> Rng.next rng) in
+  let copy : Rng.t = load_exn ~kind:"rng" img in
+  check Alcotest.int64 "image keeps the cursor" snap (Rng.snapshot copy);
+  let replayed = List.init 10 (fun _ -> Rng.next copy) in
   check (Alcotest.list Alcotest.int64) "stream resumes at the cursor" tail replayed
 
 let test_membership_midhandoff_snapshot () =
@@ -106,19 +113,21 @@ let test_membership_midhandoff_snapshot () =
   let v = System.spawn_vpe sys ~kernel:0 in
   let m = Kernel.membership (System.kernel sys 0) in
   let pe = v.Vpe.pe in
-  let before = Membership.snapshot m in
+  let before = Checkpoint.save ~kind:"membership" m in
   Membership.begin_handoff m ~pe;
   check Alcotest.bool "mark set" true (Membership.in_handoff m pe);
-  (* a snapshot taken inside the window restores to the window *)
-  let inside = Membership.snapshot m in
+  (* an image taken inside the window loads inside the window *)
+  let inside_snap = Membership.snapshot m in
+  let inside = Checkpoint.save ~kind:"membership" m in
   Membership.complete_handoff m ~pe ~kernel:1;
   check Alcotest.bool "mark cleared" false (Membership.in_handoff m pe);
   check Alcotest.int "flipped to destination" 1 (Membership.kernel_of_pe m pe);
-  Membership.restore m inside;
-  check Alcotest.bool "window restored" true (Membership.in_handoff m pe);
-  Membership.restore m before;
-  check Alcotest.bool "pre-window restored" false (Membership.in_handoff m pe);
-  check Alcotest.int "mapping restored" 0 (Membership.kernel_of_pe m pe)
+  let m_inside : Membership.t = load_exn ~kind:"membership" inside in
+  check Alcotest.bool "window kept" true (Membership.in_handoff m_inside pe);
+  check Alcotest.bool "same fingerprint input" true (Membership.snapshot m_inside = inside_snap);
+  let m_before : Membership.t = load_exn ~kind:"membership" before in
+  check Alcotest.bool "pre-window kept" false (Membership.in_handoff m_before pe);
+  check Alcotest.int "mapping kept" 0 (Membership.kernel_of_pe m_before pe)
 
 (* Satellite: engine timer handles ride through a checkpoint. A handle
    inside the image aliases the recording engine's stamp; [rebind]
@@ -210,38 +219,6 @@ let alloc_mem sys v =
   match System.syscall_sync sys v (Protocol.Sys_alloc_mem { size = 64L; perms = Perms.rw }) with
   | Protocol.R_sel _ -> ()
   | r -> Alcotest.failf "alloc: %a" Protocol.pp_reply r
-
-let test_system_snapshot_restore_in_place () =
-  let sys, a, b, sel = boot () in
-  let snap = System.snapshot sys in
-  let fp = System.fingerprint sys in
-  (* restoring onto the matching state is the identity *)
-  System.restore sys snap;
-  check Alcotest.string "restore onto itself is the identity" fp (System.fingerprint sys);
-  (* the kernel resolved its latency histogram before the snapshot; the
-     handle it holds must still feed the restored registry *)
-  let lat = "kernel0.syscall_latency.alloc_mem" in
-  let before = histogram_count sys lat in
-  alloc_mem sys a;
-  check Alcotest.int "syscall after restore reaches the registry" (before + 1)
-    (histogram_count sys lat);
-  (* snapshots are closure-free summaries: once the closure-bearing
-     control planes moved on, an in-place restore is refused rather
-     than silently wrong — rewinding goes through a whole-image
-     checkpoint instead. With the timer wheel the event queue itself
-     drains back to the snapshot's (empty) shape, so the refusal is
-     witnessed by the kernels' idempotency caches, which only grow. *)
-  (match
-     System.syscall_sync sys a (Protocol.Sys_delegate_to { recv_vpe = b.Vpe.id; sel })
-   with
-  | Protocol.R_ok -> ()
-  | r -> Alcotest.failf "delegate: %a" Protocol.pp_reply r);
-  check Alcotest.bool "mutated" false (String.equal fp (System.fingerprint sys));
-  check Alcotest.bool "divergent control plane is refused" true
-    (try
-       System.restore sys snap;
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz cases frozen mid-run                                           *)
@@ -510,8 +487,6 @@ let suite =
       test_engine_handle_rebind;
     Alcotest.test_case "fingerprints: equal histories alike, divergent apart" `Quick
       test_fingerprint_equal_then_divergent;
-    Alcotest.test_case "system snapshot restores in place" `Quick
-      test_system_snapshot_restore_in_place;
     Alcotest.test_case "fuzz case frozen mid-run resumes byte-identically" `Quick
       test_fuzz_midcase_roundtrip;
     Alcotest.test_case "fuzz checkpointing does not perturb the run" `Quick

@@ -24,7 +24,6 @@ let () =
       ("obs", Test_obs.suite);
       ("harness", Test_harness.suite);
       ("runner", Test_runner.suite);
-      ("services", Test_services.suite);
       ("tools", Test_tools.suite);
       ("properties", Test_properties.suite);
       ("checkpoint", Test_checkpoint.suite);

@@ -3,12 +3,13 @@
    A reference implementation keeps the same observable state in plain
    association lists (insertion order) and an explicit dirty set. A
    fixed-seed driver runs thousands of random operations — insert,
-   remove, link, unlink, set_children, snapshot/restore, drain_dirty —
-   against both and asserts observational equality after every step:
+   remove, link, unlink, set_children, snapshot, drain_dirty — against
+   both and asserts observational equality after every step:
    membership, record identity, child lists (order included), ownership
    chains (order included), counts, raised exceptions, and dirty
    partitions. Slot and cell recycling inside the arena must never
-   show through this interface. *)
+   show through this interface, nor through the snapshot that feeds
+   the system fingerprint. *)
 
 open Semperos
 
@@ -100,20 +101,11 @@ module Model = struct
     Hashtbl.reset t.dirty;
     List.sort compare out
 
-  (* Mapdb snapshots are key-sorted (portable, fingerprint-stable), so
-     a restore rebuilds insertion order as sorted-by-key. *)
+  (* Mapdb snapshots are key-sorted (fingerprint-stable), whatever the
+     insertion order; child lists keep their link order. *)
   let snapshot t : snapshot =
     List.map (fun (k, e) -> (k, e.owner, e.kids)) t.recs
     |> List.sort (fun (a, _, _) (b, _, _) -> Key.compare a b)
-
-  let restore t (s : snapshot) =
-    List.iter (fun (k, _) -> touch t k) t.recs;
-    t.recs <- List.map (fun (k, owner, kids) -> (k, { owner; kids })) s;
-    List.iter
-      (fun (k, _, kids) ->
-        touch t k;
-        List.iter (fun c -> touch t c) kids)
-      s
 end
 
 (* ------------------------------------------------------------------ *)
@@ -159,6 +151,21 @@ let same_observables step (db : Mapdb.t) (m : Model.t) =
     (List.sort Key.compare (List.map fst m.Model.recs))
     (List.sort Key.compare !seen)
 
+(* The live snapshot against the model's, record by record. The test
+   never mints object ids, so the cursor stays at zero. *)
+let same_snapshot step (db : Mapdb.t) (m : Model.t) =
+  let render (k, owner, kids) =
+    Printf.sprintf "%s owner=%d kids=[%s]" (pp_key k) owner
+      (String.concat " " (List.map pp_key kids))
+  in
+  let s = Mapdb.snapshot db in
+  check
+    Alcotest.(list string)
+    (Printf.sprintf "step %d: snapshot" step)
+    (List.map render (Model.snapshot m))
+    (List.map (fun (c, kids) -> render (c.Cap.key, c.Cap.owner_vpe, kids)) s.Mapdb.s_caps);
+  check Alcotest.int (Printf.sprintf "step %d: snapshot object cursor" step) 0 s.Mapdb.s_next_obj
+
 (* Both must raise, or neither. *)
 let agree_on_exn step name f g =
   let outcome h = match h () with () -> None | exception Invalid_argument _ -> Some () in
@@ -176,7 +183,6 @@ let run_case ~seed ~steps =
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   let db = Mapdb.create () in
   let m = Model.create () in
-  let saved = ref None in
   for step = 1 to steps do
     (match Random.State.int rng 100 with
     | n when n < 30 ->
@@ -208,13 +214,7 @@ let run_case ~seed ~steps =
       agree_on_exn step "set_children"
         (fun () -> Model.set_children m parent kids)
         (fun () -> Mapdb.set_children db parent kids)
-    | n when n < 96 -> saved := Some (Mapdb.snapshot db, Model.snapshot m)
-    | _ -> (
-      match !saved with
-      | None -> ()
-      | Some (dbs, ms) ->
-        Mapdb.restore db dbs;
-        Model.restore m ms));
+    | _ -> same_snapshot step db m);
     (* Dirty sets must agree at every step (drain clears both). *)
     check
       Alcotest.(list int)

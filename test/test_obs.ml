@@ -124,7 +124,7 @@ let test_gauge_replacement () =
 (* Trace ring buffer                                                   *)
 
 (* Random text and structured events against a list of every event
-   recorded, across several wraparounds and dump/restore round-trips. *)
+   recorded, across several wraparounds. *)
 let check_ring_model () =
   let lines evs = List.map (fun e -> Obs.Json.to_string (Obs.Trace.event_json e)) evs in
   let layout_pes = Obs.Trace.layout "pes=%d vpes=%d caps=%d" in
@@ -168,20 +168,7 @@ let check_ring_model () =
       end
     in
     model := e :: !model;
-    check_against_model (Printf.sprintf "after %d" i) t;
-    (* A dump restored into a fresh ring reads back the same and keeps
-       recording in step with the original. *)
-    if i mod 4 = 0 then begin
-      let copy = Obs.Trace.create ~capacity:cap in
-      Obs.Trace.restore copy (Obs.Trace.dump t);
-      check_against_model (Printf.sprintf "restored after %d" i) copy;
-      check Alcotest.string "restored JSONL" (Obs.Trace.to_jsonl t) (Obs.Trace.to_jsonl copy);
-      Obs.Trace.emit copy ~ts:0 ~kind:"x" ~op:0 ~src:0 ~dst:0 "";
-      Obs.Trace.emit t ~ts:0 ~kind:"x" ~op:0 ~src:0 ~dst:0 "";
-      model := { Obs.Trace.ts = 0L; kind = "x"; op = 0; src = 0; dst = 0; detail = "" } :: !model;
-      check_against_model "copy continues" copy;
-      check_against_model "original continues" t
-    end
+    check_against_model (Printf.sprintf "after %d" i) t
   done
 
 let test_trace_wraparound () =

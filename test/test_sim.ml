@@ -322,33 +322,6 @@ let test_mass_cancel_bounded_run () =
   check Alcotest.bool "later event fires" true !fired;
   check Alcotest.int64 "drain catches up to the cancelled horizon" 50_063L (Engine.now e)
 
-(* Regression (satellite of the timer-wheel PR): a quiescent rewind
-   left [flushed_*] at their pre-restore high-water marks, so the next
-   [run]'s flush delta went negative and [Totals] silently dropped the
-   replayed work. *)
-let test_restore_rewinds_flush_marks () =
-  let e = Engine.create () in
-  for _ = 1 to 2 do
-    Engine.after e 10L (fun () -> ())
-  done;
-  ignore (Engine.run e);
-  let snap = Engine.snapshot e in
-  (* move on: three more events, flushed into Totals *)
-  for _ = 1 to 3 do
-    Engine.after e 10L (fun () -> ())
-  done;
-  ignore (Engine.run e);
-  check Alcotest.int "moved on" 5 (Engine.events_processed e);
-  Engine.restore e snap;
-  check Alcotest.int "rewound" 2 (Engine.events_processed e);
-  (* replay the same three events: Totals must count them again *)
-  let before = Engine.Totals.processed () in
-  for _ = 1 to 3 do
-    Engine.after e 10L (fun () -> ())
-  done;
-  ignore (Engine.run e);
-  check Alcotest.int "replayed work reaches Totals" 3 (Engine.Totals.processed () - before)
-
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
 
@@ -485,8 +458,6 @@ let suite =
     Alcotest.test_case "cancelled horizon holds the clock (bounded runs)" `Quick
       test_cancelled_horizon_clock_parity;
     Alcotest.test_case "mass cancel keeps run at until" `Quick test_mass_cancel_bounded_run;
-    Alcotest.test_case "restore rewinds the Totals flush marks" `Quick
-      test_restore_rewinds_flush_marks;
     Alcotest.test_case "cancellation counters exported to obs" `Quick test_cancel_obs_counters;
     Alcotest.test_case "pending bounded by in-flight work" `Quick
       test_pending_bounded_by_in_flight;

@@ -281,7 +281,14 @@ let test_bench_documents_validate () =
      project root they are in the cwd itself. *)
   let dir = if bench_files "." <> [] then "." else ".." in
   let files = bench_files dir in
-  check Alcotest.bool "found benchmark documents" true (List.length files >= 7);
+  check
+    Alcotest.(list string)
+    "benchmark documents"
+    [
+      "BENCH_apps.json"; "BENCH_balance.json"; "BENCH_batch.json"; "BENCH_fleet.json";
+      "BENCH_micro.json"; "BENCH_scale.json";
+    ]
+    files;
   List.iter
     (fun f ->
       match Bench_json.validate_file (Filename.concat dir f) with
@@ -299,6 +306,7 @@ let test_bench_validate_rejects () =
       | Error _ -> ())
   in
   reject "unknown schema" {|{"schema":"semperos-nonesuch-1","rows":[]}|};
+  reject "unknown schema (retired wallclock)" {|{"schema":"semperos-wallclock-1","jobs":1,"workloads":[]}|};
   reject "missing top-level key" {|{"schema":"semperos-batch-1","jobs":1}|};
   reject "empty row array" {|{"schema":"semperos-batch-1","jobs":1,"samples":[]}|};
   reject "row missing a key"
@@ -307,8 +315,9 @@ let test_bench_validate_rejects () =
 
 (* The deterministic bench documents are pinned byte for byte: each is
    regenerated in process into a temp file and compared with the
-   committed copy, so a change to the balancer, fleet or batching
-   protocols that moves any of their numbers fails here. *)
+   committed copy, so a change to the capability protocols, the m3fs
+   path, the balancer, the fleet or batching that moves any of their
+   numbers fails here. *)
 let test_bench_documents_regenerate () =
   let dir = if Sys.file_exists "BENCH_balance.json" then "." else ".." in
   let read f = In_channel.with_open_bin f In_channel.input_all in
@@ -321,6 +330,8 @@ let test_bench_documents_regenerate () =
           write tmp;
           check Alcotest.string name (read (Filename.concat dir name)) (read tmp)))
     [
+      ("BENCH_micro.json", fun path -> Bench_json.write ~path (Bench_json.micro ()));
+      ("BENCH_apps.json", fun path -> Bench_json.write ~path (Bench_json.apps ()));
       ("BENCH_balance.json", fun path -> Skew.bench ~path ());
       ("BENCH_fleet.json", fun path -> Fleetbench.bench ~path ());
       ("BENCH_batch.json", fun path -> Batchbench.run ~path ());
