@@ -127,8 +127,8 @@ let snapshot t =
    protocols by design. *)
 let droppable = function
   | "obtain_req" | "obtain_reply" | "delegate_req" | "delegate_reply" | "delegate_ack"
-  | "open_sess_req" | "open_sess_reply" | "revoke_req" | "revoke_reply" | "migrate_ack"
-  | "remove_child" | "srv_announce" | "batch" | "fleet_state" | "part_update" | "part_records" ->
+  | "revoke_req" | "revoke_reply" | "migrate_ack" | "remove_child" | "srv_announce" | "batch"
+  | "fleet_state" | "part_update" | "part_records" ->
     true
   | _ -> false
 

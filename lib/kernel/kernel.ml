@@ -128,10 +128,9 @@ type revoke_op = {
 and revoke_origin = Ro_syscall of Vpe.t | Ro_exit of Vpe.t | Ro_remote of int * int
 
 type pending =
-  | P_obtain of { client : Vpe.t }
+  | P_obtain of { client : Vpe.t; donor : P.donor; obj_reserved : int }  (* also a session open *)
   | P_delegate_src of { client : Vpe.t; src_key : Key.t; dst_kernel : int }
   | P_delegate_dst of { child_key : Key.t; recv_vpe : int; src_kernel : int }
-  | P_open_sess of { client : Vpe.t; sess_key : Key.t; srv_key : Key.t; srv_kernel : int }
   | P_revoke of revoke_op
   (* One outstanding [Ik_revoke_req]: every revoke message carries its
      own op id so the responder can deduplicate redeliveries and a
@@ -154,6 +153,47 @@ and bcast_op = {
   (* Pending retransmission tick, cancelled once the last ack is in. *)
   mutable b_timer : Engine.handle option;
 }
+
+(* The exchange kinds (§4.3.2). A session open is an obtain whose donor
+   is the service; it is a kind of its own only for its charges, its
+   syscall reply, and the [exchanges_*] counters, which skip it. *)
+type exchange = Obtain | Open | Delegate
+
+(* The cycle charges of one exchange kind at each of its steps. The
+   syscall's own decoding is charged by its arm; [forward] is added
+   there when the other party lives in another group. *)
+type charges = {
+  forward : int64;  (* requester: forwarding to the other party's kernel *)
+  serve : int64;  (* responder: decoding the request *)
+  remote_link : int64;  (* responder: linking (obtain) or creating (delegate) the child *)
+  remote_fail : int64;  (* responder: a link-time check failed *)
+  reply : int64;  (* requester: the reply *)
+  refuse_in_job : bool;  (* group-local: a refusal is answered by a [fail] job, not at once *)
+  fail : int64;  (* group-local: a link-time check failed *)
+  link : int64;  (* group-local: the child linked *)
+}
+
+let exchange_charges cost ex =
+  let ( + ) = Int64.add and ddl = Cost.ddl cost in
+  let create = cost.Cost.exchange_create and open_ = cost.Cost.session_open in
+  let fwd = cost.Cost.exchange_forward and remote = cost.Cost.exchange_remote in
+  match ex with
+  | Obtain ->
+    { forward = fwd; serve = remote + ddl 2; remote_link = ddl 1; remote_fail = ddl 1;
+      reply = create + ddl 2; refuse_in_job = false; fail = create; link = create + ddl 3 }
+  | Open ->
+    { forward = open_; serve = open_; remote_link = ddl 1; remote_fail = ddl 1;
+      reply = open_ + ddl 1; refuse_in_job = true; fail = open_; link = open_ + ddl 1 }
+  | Delegate ->
+    { forward = fwd; serve = remote + ddl 1; remote_link = ddl 2; remote_fail = 0L;
+      reply = create + ddl 2; refuse_in_job = true; fail = create; link = create + ddl 3 }
+
+(* What a donor hands over, looked up again when the child is linked: a
+   capability named with the child's kind, or (group-local only)
+   whatever a VPE donor then holds at the selector. *)
+type grant = Named of Key.t * Cap.kind | Held of Vpe.t * P.selector
+
+let granted_kind (parent : Cap.t) = function Named (_, kind) -> kind | Held _ -> parent.Cap.kind
 
 (* Responder-side record of an op-tagged request: op ids are globally
    unique (minted by the requester), so a redelivered request —
@@ -200,6 +240,7 @@ type t = {
   grid : Semper_dtu.Dtu.grid;
   membership : Membership.t;
   cost : Cost.t;
+  charges : charges array;  (* by [exchange], see [charges] *)
   retry_intervals : int64 array;
   retention : int;
   env : env;
@@ -321,6 +362,7 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
       grid;
       membership;
       cost;
+      charges = Array.map (exchange_charges cost) [| Obtain; Open; Delegate |];
       retry_intervals;
       retention = retention cost retry_intervals;
       env;
@@ -492,6 +534,8 @@ let lookup_service t name = Hashtbl.find_opt t.directory name
 
 let c t = t.cost
 
+let charges t ex = t.charges.(match ex with Obtain -> 0 | Open -> 1 | Delegate -> 2)
+
 let fresh_op t =
   let n = t.next_op in
   t.next_op <- n + 1;
@@ -510,6 +554,10 @@ let key_surely_local t key =
 
 let mint_key t ~creator_pe ~creator_vpe ~kind =
   Key.make ~pe:creator_pe ~vpe:creator_vpe ~kind ~obj:(Mapdb.fresh_obj t.mapdb)
+
+(* The key of an exchanged child of [kind] for the VPE [vpe] on PE
+   [pe], from object [obj]. *)
+let child_key ~pe ~vpe kind obj = Key.make ~pe ~vpe ~kind:(Cap.kind_to_key_kind kind) ~obj
 
 let job t f = Server.submit_work t.server f
 
@@ -537,8 +585,6 @@ let ikc_op : P.ikc -> int = function
   | P.Ik_delegate_req { op; _ }
   | P.Ik_delegate_reply { op; _ }
   | P.Ik_delegate_ack { op; _ }
-  | P.Ik_open_sess_req { op; _ }
-  | P.Ik_open_sess_reply { op; _ }
   | P.Ik_revoke_req { op; _ }
   | P.Ik_revoke_reply { op; _ }
   | P.Ik_migrate_ack { op }
@@ -620,6 +666,44 @@ let send_reply t (vpe : Vpe.t) (r : P.reply) =
 let finish_syscall t vpe r =
   Thread_pool.release t.threads;
   send_reply t vpe r
+
+(* The syscall reply of a completed exchange whose child landed at
+   [sel] in the client's (obtain) or receiver's (delegate) space. *)
+let exchanged ex ~sel (kind : Cap.kind) =
+  match (ex, kind) with
+  | Open, Cap.Sess_cap { ident; srv = _ } -> P.R_sess { sel; ident }
+  | Delegate, _ -> P.R_ok
+  | (Obtain | Open), _ -> P.R_sel sel
+
+(* The error a service's answer stands for when it is not the one the
+   kernel asked for. *)
+let refusal : P.service_response -> P.error = function
+  | P.Srs_reject e -> e
+  | P.Srs_session _ | P.Srs_grant _ | P.Srs_accept -> P.E_invalid
+
+let refused ex error = P.Refused { error; sess_open = ex = Open }
+
+let obtain_kind : P.donor -> exchange = function
+  | P.Open_session _ -> Open
+  | P.Direct _ | P.Via_session _ -> Obtain
+
+(* ------------------------------------------------------------------ *)
+(* Asking the other party of an exchange                                *)
+
+(* Ask a local service; the handler charges time on the service's PE. *)
+let service_upcall t ~srv_key req k =
+  match Key.Table.find_opt t.services_by_key srv_key with
+  | None -> k (P.Srs_reject P.E_no_such_service)
+  | Some service -> service.srv_handler req k
+
+(* Kernel -> VPE offer message, VPE-side processing, VPE -> kernel
+   answer. The kernel thread suspends; the kernel PE itself stays free
+   to serve other work (cooperative multithreading, §4.2). *)
+let vpe_accept_roundtrip t (vpe : Vpe.t) answer k =
+  Fabric.send t.fabric ~src:t.pe ~dst:vpe.Vpe.pe ~bytes:32 (fun () ->
+      Engine.after t.engine (c t).Cost.vpe_accept (fun () ->
+          Fabric.send t.fabric ~src:vpe.Vpe.pe ~dst:t.pe ~bytes:16 (fun () ->
+              k (if vpe.Vpe.accept_exchange then Ok answer else Error P.E_denied))))
 
 (* ------------------------------------------------------------------ *)
 (* Inter-kernel transport with in-flight limiting (paper §4.1)         *)
@@ -836,13 +920,7 @@ and clear_retry t op =
 and fail_exhausted_op t op =
   match Hashtbl.find_opt t.pending_ops op with
   | None -> ()
-  | Some (P_obtain { client }) ->
-    Hashtbl.remove t.pending_ops op;
-    finish_syscall t client (P.R_err P.E_timeout)
-  | Some (P_delegate_src { client; _ }) ->
-    Hashtbl.remove t.pending_ops op;
-    finish_syscall t client (P.R_err P.E_timeout)
-  | Some (P_open_sess { client; _ }) ->
+  | Some (P_obtain { client; _ } | P_delegate_src { client; _ }) ->
     Hashtbl.remove t.pending_ops op;
     finish_syscall t client (P.R_err P.E_timeout)
   | Some (P_revoke_msg { rop }) ->
@@ -854,14 +932,7 @@ and fail_exhausted_op t op =
        capability space, so dropping its record suffices; best-effort
        unlink at the source. *)
     Hashtbl.remove t.pending_ops op;
-    (match Mapdb.find t.mapdb child_key with
-    | Some cap ->
-      Mapdb.remove t.mapdb child_key;
-      Obs.Registry.incr t.ctr.caps_deleted;
-      (match cap.Cap.parent with
-      | Some parent_key -> send_unlink t ~dst:src_kernel ~parent_key ~child_key
-      | None -> ())
-    | None -> ());
+    Option.iter (drop_delegated t ~src_kernel) (Mapdb.find t.mapdb child_key);
     Thread_pool.release t.threads
   | Some (P_part_caps { pc_done }) ->
     (* The destination never confirmed the install: the records are in
@@ -873,6 +944,15 @@ and fail_exhausted_op t op =
   | Some (P_revoke _ | P_bcast _) ->
     (* Not retried through [register_retry]; nothing to fail. *)
     ()
+
+(* Drop a delegated child that never entered its receiver's space, and
+   unlink it at the source kernel [src_kernel]. *)
+and drop_delegated t ~src_kernel (cap : Cap.t) =
+  Mapdb.remove t.mapdb cap.Cap.key;
+  Obs.Registry.incr t.ctr.caps_deleted;
+  Option.iter
+    (fun parent_key -> send_unlink t ~dst:src_kernel ~parent_key ~child_key:cap.Cap.key)
+    cap.Cap.parent
 
 (* Returns [true] when the request was seen before; credit is returned
    either way, and a finished op re-sends its cached reply. *)
@@ -907,24 +987,6 @@ and finish_remote t ~op ~dst msg =
   Hashtbl.replace t.remote_ops op (R_done { dst; msg });
   Queue.push (Engine.clock t.engine + t.retention, Ev_remote op) t.evictions;
   ikc_send t ~dst msg
-
-(* ------------------------------------------------------------------ *)
-(* VPE interaction: the kernel asks the other party of an exchange      *)
-
-(* Kernel -> VPE offer message, VPE-side processing, VPE -> kernel
-   answer. The kernel thread suspends; the kernel PE itself stays free
-   to serve other work (cooperative multithreading, §4.2). *)
-and vpe_accept_roundtrip t (vpe : Vpe.t) k =
-  Fabric.send t.fabric ~src:t.pe ~dst:vpe.Vpe.pe ~bytes:32 (fun () ->
-      Engine.after t.engine (c t).Cost.vpe_accept (fun () ->
-          Fabric.send t.fabric ~src:vpe.Vpe.pe ~dst:t.pe ~bytes:16 (fun () ->
-              k vpe.Vpe.accept_exchange)))
-
-(* Ask a local service; the handler charges time on the service's PE. *)
-and service_upcall t ~srv_key req k =
-  match Key.Table.find_opt t.services_by_key srv_key with
-  | None -> k (P.Srs_reject P.E_no_such_service)
-  | Some service -> service.srv_handler req k
 
 (* ------------------------------------------------------------------ *)
 (* Capability lookup helpers                                           *)
@@ -1289,44 +1351,135 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
           if op.outstanding = 0 then complete_revoke t op ))
 
 (* ------------------------------------------------------------------ *)
-(* Obtain                                                              *)
+(* Exchange (§4.3.2): one party step per direction, called by the
+   group-local path and by the inter-kernel responder alike            *)
 
-(* Local obtain: donor capability and client managed by this kernel.
-   [accept] asks the donor party; [parent_of_grant] resolves the donor
-   capability after acceptance (it may have changed in the meantime). *)
-and local_obtain t ~(client : Vpe.t) ~accept ~(parent_of_grant : unit -> (Cap.t * Cap.kind, P.error) result) =
-  accept (fun decision ->
-      match decision with
-      | Error e -> finish_syscall t client (P.R_err e)
-      | Ok () ->
-        job t (fun () ->
-            match
-              if not (Vpe.is_alive client) then Error P.E_vpe_dead
-              else Result.bind (parent_of_grant ()) (fun (p, kind) ->
-                  Result.map (fun p -> (p, kind)) (exchangeable p))
-            with
-            | Error e -> ((c t).Cost.exchange_create, fun () -> finish_syscall t client (P.R_err e))
-            | Ok (parent, kind) ->
-              let key =
-                mint_key t ~creator_pe:client.Vpe.pe ~creator_vpe:client.Vpe.id
-                  ~kind:(Cap.kind_to_key_kind kind)
-              in
-              let sel = create_linked_cap t ~owner:client ~kind ~parent:(Some parent) ~key in
-              Obs.Registry.incr t.ctr.exchanges_local;
-              ( Int64.add (c t).Cost.exchange_create (Cost.ddl (c t) 3),
-                fun () -> finish_syscall t client (P.R_sel sel) )))
+(* Ask the donor of an obtain. A VPE donor accepts through the round
+   trip; a service grants a child through [Srq_obtain], or opens a
+   session through [Srq_open_session]. *)
+and ask_donor t ~client_vpe (donor : P.donor) k =
+  match donor with
+  | P.Direct { donor_vpe; donor_sel } -> (
+    match t.env.locate_vpe donor_vpe with
+    | None -> k (Error P.E_no_such_vpe)
+    | Some d -> vpe_accept_roundtrip t d (Held (d, donor_sel)) k)
+  | P.Via_session { srv_key; ident; args } ->
+    service_upcall t ~srv_key (P.Srq_obtain { ident; args }) (function
+      | P.Srs_grant { parent; kind } -> k (Ok (Named (parent, kind)))
+      | (P.Srs_session _ | P.Srs_accept | P.Srs_reject _) as r -> k (Error (refusal r)))
+  | P.Open_session { srv_key } ->
+    service_upcall t ~srv_key (P.Srq_open_session { client_vpe }) (function
+      | P.Srs_session { ident } -> k (Ok (Named (srv_key, Cap.Sess_cap { srv = srv_key; ident })))
+      | (P.Srs_grant _ | P.Srs_accept | P.Srs_reject _) as r -> k (Error (refusal r)))
 
-(* Spanning obtain: forward to the donor's kernel, park the syscall. *)
-and remote_obtain t ~(client : Vpe.t) ~dst_kernel ~donor =
-  let op = fresh_op t in
-  let obj_reserved = Mapdb.fresh_obj t.mapdb in
-  Hashtbl.add t.pending_ops op (P_obtain { client });
-  Obs.Registry.incr t.ctr.exchanges_spanning;
-  let msg =
-    P.Ik_obtain_req
-      { op; src_kernel = t.id; obj_reserved; client_pe = client.Vpe.pe; client_vpe = client.Vpe.id; donor }
-  in
-  send_retried t op ~dst:dst_kernel msg
+(* Ask the receiver of a delegate: a VPE accepts through the round
+   trip, a service through [Srq_delegate]. The answer is the VPE that
+   will own the child. *)
+and ask_receiver t ~kind (recv : P.recv_ref) k =
+  match recv with
+  | P.Recv_vpe vid -> (
+    match t.env.locate_vpe vid with
+    | None -> k (Error P.E_no_such_vpe)
+    | Some v -> vpe_accept_roundtrip t v v k)
+  | P.Recv_service { srv_key; ident; args } ->
+    service_upcall t ~srv_key (P.Srq_delegate { ident; args; kind }) (function
+      | P.Srs_accept ->
+        k (match Key.Table.find_opt t.services_by_key srv_key with
+          | None -> Error P.E_no_such_service
+          | Some service -> Option.to_result ~none:P.E_no_such_vpe (t.env.locate_vpe service.srv_vpe))
+      | (P.Srs_session _ | P.Srs_grant _ | P.Srs_reject _) as r -> k (Error (refusal r)))
+
+(* Link-time check, shared by every path: the parent still exists and
+   is not being revoked. *)
+and live_parent t key = match Mapdb.find t.mapdb key with None -> Error P.E_no_such_cap | Some p -> exchangeable p
+
+and granted_parent t = function
+  | Named (key, _) -> live_parent t key
+  | Held (donor, sel) -> Result.bind (resolve_sel t donor sel) exchangeable
+
+(* A VPE this kernel hosts and that is alive: what the responder checks
+   before asking a VPE party. *)
+and hosted_vpe t vid =
+  match t.env.locate_vpe vid with
+  | Some v when v.Vpe.kernel = t.id -> if Vpe.is_alive v then Ok v else Error P.E_vpe_dead
+  | Some _ | None -> Error P.E_no_such_vpe
+
+(* Group-local exchange, after the other party answered: link the child
+   in one job. [answer] names the child's owner (the client for an
+   obtain, the receiver for a delegate) and what it is linked under. *)
+and link_local t ex ~(client : Vpe.t) answer =
+  let ch = charges t ex in
+  match answer with
+  | Error e when not ch.refuse_in_job -> finish_syscall t client (P.R_err e)
+  | Error _ | Ok _ ->
+    job t (fun () ->
+        match answer with
+        | Ok ((owner : Vpe.t), grant) when Vpe.is_alive owner -> (
+          match granted_parent t grant with
+          | Ok parent ->
+            let kind = granted_kind parent grant in
+            let key = child_key ~pe:owner.Vpe.pe ~vpe:owner.Vpe.id kind (Mapdb.fresh_obj t.mapdb) in
+            let sel = create_linked_cap t ~owner ~kind ~parent:(Some parent) ~key in
+            if ex <> Open then Obs.Registry.incr t.ctr.exchanges_local;
+            (ch.link, fun () -> finish_syscall t client (exchanged ex ~sel kind))
+          | Error e -> (ch.fail, fun () -> finish_syscall t client (P.R_err e)))
+        | Ok _ -> (ch.fail, fun () -> finish_syscall t client (P.R_err P.E_vpe_dead))
+        | Error e -> (ch.fail, fun () -> finish_syscall t client (P.R_err e)))
+
+(* Start an obtain (or session open) inside [client]'s syscall job,
+   whose own decoding costs [cost]: group-local when the donor lives on
+   this kernel, otherwise forwarded to the donor's kernel [dst] with the
+   syscall parked until the reply. A session open reserves its op and
+   child object when the syscall is decoded, an obtain when it is
+   forwarded. *)
+and start_obtain t ~(client : Vpe.t) ~dst ~cost donor =
+  let ex = obtain_kind donor in
+  if dst = t.id then
+    ( cost,
+      fun () ->
+        ask_donor t ~client_vpe:client.Vpe.id donor (fun answer ->
+            link_local t ex ~client (Result.map (fun g -> (client, g)) answer)) )
+  else
+    let cost = Int64.add cost (charges t ex).forward in
+    match donor with
+    | P.Open_session _ ->
+      let obj = Mapdb.fresh_obj t.mapdb in
+      let op = fresh_op t in
+      (cost, fun () -> forward_obtain t ~client ~dst ~op ~obj donor)
+    | P.Direct _ | P.Via_session _ ->
+      ( cost,
+        fun () ->
+          let op = fresh_op t in
+          let obj = Mapdb.fresh_obj t.mapdb in
+          Obs.Registry.incr t.ctr.exchanges_spanning;
+          forward_obtain t ~client ~dst ~op ~obj donor )
+
+and forward_obtain t ~(client : Vpe.t) ~dst ~op ~obj donor =
+  Hashtbl.add t.pending_ops op (P_obtain { client; donor; obj_reserved = obj });
+  send_retried t op ~dst
+    (P.Ik_obtain_req
+       { op; src_kernel = t.id; obj_reserved = obj; client_pe = client.Vpe.pe; client_vpe = client.Vpe.id; donor })
+
+(* Start a delegate of [src] inside [client]'s syscall job, whose own
+   decoding costs [cost]: group-local when the receiver lives on this
+   kernel, otherwise the two-way handshake with its kernel [dst]. *)
+and start_delegate t ~(client : Vpe.t) ~(src : Cap.t) ~dst ~cost recv =
+  if dst = t.id then
+    ( cost,
+      fun () ->
+        ask_receiver t ~kind:src.Cap.kind recv (fun answer ->
+            link_local t Delegate ~client
+              (Result.map (fun r -> (r, Named (src.Cap.key, src.Cap.kind))) answer)) )
+  else begin
+    let op = fresh_op t in
+    Hashtbl.add t.pending_ops op (P_delegate_src { client; src_key = src.Cap.key; dst_kernel = dst });
+    Obs.Registry.incr t.ctr.exchanges_spanning;
+    ( Int64.add cost (charges t Delegate).forward,
+      fun () ->
+        send_retried t op ~dst
+          (P.Ik_delegate_req
+             { op; src_kernel = t.id; parent_key = src.Cap.key; kind = src.Cap.kind; recv }) )
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handling                                                    *)
@@ -1452,41 +1605,11 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
         match Hashtbl.find_opt t.directory service with
         | None -> (dispatch, fun () -> finish_syscall t vpe (P.R_err P.E_no_such_service))
         | Some srv_key ->
-          let srv_kernel = owner_kernel t srv_key in
-          let cost = Int64.add dispatch (Cost.ddl (c t) 1) in
-          if srv_kernel = t.id then
-            ( cost,
-              fun () ->
-                service_upcall t ~srv_key (P.Srq_open_session { client_vpe = vpe.Vpe.id }) (fun resp ->
-                    job t (fun () ->
-                        match resp with
-                        | P.Srs_session { ident } -> (
-                          match Mapdb.find t.mapdb srv_key with
-                          | None ->
-                            ((c t).Cost.session_open, fun () -> finish_syscall t vpe (P.R_err P.E_no_such_service))
-                          | Some srv_cap ->
-                            let key =
-                              mint_key t ~creator_pe:vpe.Vpe.pe ~creator_vpe:vpe.Vpe.id ~kind:Key.Sess_obj
-                            in
-                            let kind = Cap.Sess_cap { srv = srv_key; ident } in
-                            let sel = create_linked_cap t ~owner:vpe ~kind ~parent:(Some srv_cap) ~key in
-                                              ( Int64.add (c t).Cost.session_open (Cost.ddl (c t) 1),
-                              fun () -> finish_syscall t vpe (P.R_sess { sel; ident }) ))
-                        | P.Srs_reject e -> ((c t).Cost.session_open, fun () -> finish_syscall t vpe (P.R_err e))
-                        | P.Srs_grant _ | P.Srs_accept ->
-                          ((c t).Cost.session_open, fun () -> finish_syscall t vpe (P.R_err P.E_invalid)))) )
-          else begin
-            (* Cross-group session (Figure 3, sequence B). *)
-            let sess_key = mint_key t ~creator_pe:vpe.Vpe.pe ~creator_vpe:vpe.Vpe.id ~kind:Key.Sess_obj in
-            let op = fresh_op t in
-            Hashtbl.add t.pending_ops op (P_open_sess { client = vpe; sess_key; srv_key; srv_kernel });
-            ( Int64.add cost (c t).Cost.session_open,
-              fun () ->
-                let msg =
-                  P.Ik_open_sess_req { op; src_kernel = t.id; srv_key; sess_key; client_vpe = vpe.Vpe.id }
-                in
-                send_retried t op ~dst:srv_kernel msg )
-          end)
+          (* Cross-group when the service lives elsewhere (Figure 3,
+             sequence B). *)
+          start_obtain t ~client:vpe ~dst:(owner_kernel t srv_key)
+            ~cost:(Int64.add dispatch (Cost.ddl (c t) 1))
+            (P.Open_session { srv_key }))
   | P.Sys_obtain { sess; args } ->
     job t (fun () ->
         match Result.bind (resolve_sel t vpe sess) exchangeable with
@@ -1494,40 +1617,9 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
         | Ok sess_cap -> (
           match sess_cap.Cap.kind with
           | Cap.Sess_cap { srv; ident } ->
-            let srv_kernel = owner_kernel t srv in
-            let cost = Int64.add dispatch (Cost.ddl (c t) 1) in
-            if srv_kernel = t.id then
-              ( cost,
-                fun () ->
-                  let accept k =
-                    service_upcall t ~srv_key:srv (P.Srq_obtain { ident; args }) (fun resp ->
-                        match resp with
-                        | P.Srs_grant { parent; kind } -> k (Ok (parent, kind))
-                        | P.Srs_reject e -> k (Error e)
-                        | P.Srs_session _ | P.Srs_accept -> k (Error P.E_invalid))
-                  in
-                  let granted = ref None in
-                  local_obtain t ~client:vpe
-                    ~accept:(fun k ->
-                      accept (fun r ->
-                          match r with
-                          | Ok g ->
-                            granted := Some g;
-                            k (Ok ())
-                          | Error e -> k (Error e)))
-                    ~parent_of_grant:(fun () ->
-                      match !granted with
-                      | None -> Error P.E_invalid
-                      | Some (parent_key, kind) -> (
-                        match Mapdb.find t.mapdb parent_key with
-                        | None -> Error P.E_no_such_cap
-                        | Some p -> Ok (p, kind))) )
-            else begin
-                  ( Int64.add cost (c t).Cost.exchange_forward,
-                fun () ->
-                  remote_obtain t ~client:vpe ~dst_kernel:srv_kernel
-                    ~donor:(P.Via_session { srv_key = srv; ident; args }) )
-            end
+            start_obtain t ~client:vpe ~dst:(owner_kernel t srv)
+              ~cost:(Int64.add dispatch (Cost.ddl (c t) 1))
+              (P.Via_session { srv_key = srv; ident; args })
           | Cap.Vpe_cap _ | Cap.Mem_cap _ | Cap.Srv_cap _ | Cap.Rgate_cap _ | Cap.Sgate_cap _
           | Cap.Kernel_cap _ ->
             (dispatch, fun () -> finish_syscall t vpe (P.R_err P.E_no_such_session))))
@@ -1538,55 +1630,23 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
         | Some donor when not (Vpe.is_alive donor) ->
           (dispatch, fun () -> finish_syscall t vpe (P.R_err P.E_vpe_dead))
         | Some donor ->
-          if donor.Vpe.kernel = t.id then
-            ( dispatch,
-              fun () ->
-                      local_obtain t ~client:vpe
-                  ~accept:(fun k ->
-                    vpe_accept_roundtrip t donor (fun accepted ->
-                        k (if accepted then Ok () else Error P.E_denied)))
-                  ~parent_of_grant:(fun () ->
-                    Result.map
-                      (fun (cap : Cap.t) -> (cap, cap.Cap.kind))
-                      (resolve_sel t donor donor_sel)) )
-          else begin
-              ( Int64.add (Int64.add dispatch (c t).Cost.exchange_forward) (Cost.ddl (c t) 1),
-              fun () ->
-                remote_obtain t ~client:vpe ~dst_kernel:donor.Vpe.kernel
-                  ~donor:(P.Direct { donor_vpe; donor_sel }) )
-          end)
+          let dst = donor.Vpe.kernel in
+          (* Only a remote donor's key needs decoding here. *)
+          let cost = if dst = t.id then dispatch else Int64.add dispatch (Cost.ddl (c t) 1) in
+          start_obtain t ~client:vpe ~dst ~cost (P.Direct { donor_vpe; donor_sel }))
   | P.Sys_delegate_to { recv_vpe; sel } ->
     job t (fun () ->
         match Result.bind (resolve_sel t vpe sel) exchangeable with
         | Error e -> (dispatch, fun () -> finish_syscall t vpe (P.R_err e))
-        | Ok src_cap -> (
+        | Ok src -> (
           match t.env.locate_vpe recv_vpe with
           | None -> (dispatch, fun () -> finish_syscall t vpe (P.R_err P.E_no_such_vpe))
           | Some recv when not (Vpe.is_alive recv) ->
             (dispatch, fun () -> finish_syscall t vpe (P.R_err P.E_vpe_dead))
           | Some recv ->
-              if recv.Vpe.kernel = t.id then
-              ( Int64.add dispatch (Cost.ddl (c t) 1),
-                fun () -> local_delegate t ~client:vpe ~src_key:src_cap.Cap.key ~recv )
-            else begin
-              let op = fresh_op t in
-              Hashtbl.add t.pending_ops op
-                (P_delegate_src { client = vpe; src_key = src_cap.Cap.key; dst_kernel = recv.Vpe.kernel });
-              Obs.Registry.incr t.ctr.exchanges_spanning;
-              ( Int64.add (Int64.add dispatch (c t).Cost.exchange_forward) (Cost.ddl (c t) 1),
-                fun () ->
-                  let msg =
-                    P.Ik_delegate_req
-                      {
-                        op;
-                        src_kernel = t.id;
-                        parent_key = src_cap.Cap.key;
-                        kind = src_cap.Cap.kind;
-                        recv = P.Recv_vpe recv_vpe;
-                      }
-                  in
-                  send_retried t op ~dst:recv.Vpe.kernel msg )
-            end))
+            start_delegate t ~client:vpe ~src ~dst:recv.Vpe.kernel
+              ~cost:(Int64.add dispatch (Cost.ddl (c t) 1))
+              (P.Recv_vpe recv_vpe)))
   | P.Sys_delegate { sess; sel; args } ->
     job t (fun () ->
         match Result.bind (resolve_sel t vpe sess) exchangeable with
@@ -1596,43 +1656,10 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
           | Cap.Sess_cap { srv; ident } -> (
             match Result.bind (resolve_sel t vpe sel) exchangeable with
             | Error e -> (dispatch, fun () -> finish_syscall t vpe (P.R_err e))
-            | Ok src_cap ->
-              let srv_kernel = owner_kernel t srv in
-                  if srv_kernel = t.id then
-                ( Int64.add dispatch (Cost.ddl (c t) 1),
-                  fun () ->
-                    service_upcall t ~srv_key:srv
-                      (P.Srq_delegate { ident; args; kind = src_cap.Cap.kind })
-                      (fun resp ->
-                        match resp with
-                        | P.Srs_accept -> (
-                          match Key.Table.find_opt t.services_by_key srv with
-                          | None -> finish_syscall t vpe (P.R_err P.E_no_such_service)
-                          | Some service -> (
-                            match t.env.locate_vpe service.srv_vpe with
-                            | None -> finish_syscall t vpe (P.R_err P.E_no_such_vpe)
-                            | Some recv -> local_delegate t ~client:vpe ~src_key:src_cap.Cap.key ~recv))
-                        | P.Srs_reject e -> finish_syscall t vpe (P.R_err e)
-                        | P.Srs_session _ | P.Srs_grant _ -> finish_syscall t vpe (P.R_err P.E_invalid)) )
-              else begin
-                let op = fresh_op t in
-                Hashtbl.add t.pending_ops op
-                  (P_delegate_src { client = vpe; src_key = src_cap.Cap.key; dst_kernel = srv_kernel });
-                Obs.Registry.incr t.ctr.exchanges_spanning;
-                ( Int64.add (Int64.add dispatch (c t).Cost.exchange_forward) (Cost.ddl (c t) 1),
-                  fun () ->
-                    let msg =
-                      P.Ik_delegate_req
-                        {
-                          op;
-                          src_kernel = t.id;
-                          parent_key = src_cap.Cap.key;
-                          kind = src_cap.Cap.kind;
-                          recv = P.Recv_service { srv_key = srv; ident; args };
-                        }
-                    in
-                    send_retried t op ~dst:srv_kernel msg )
-              end)
+            | Ok src ->
+              start_delegate t ~client:vpe ~src ~dst:(owner_kernel t srv)
+                ~cost:(Int64.add dispatch (Cost.ddl (c t) 1))
+                (P.Recv_service { srv_key = srv; ident; args }))
           | Cap.Vpe_cap _ | Cap.Mem_cap _ | Cap.Srv_cap _ | Cap.Rgate_cap _ | Cap.Sgate_cap _
           | Cap.Kernel_cap _ ->
             (dispatch, fun () -> finish_syscall t vpe (P.R_err P.E_no_such_session))))
@@ -1656,8 +1683,8 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                 fun () ->
                   other.on_complete <- (fun () -> finish_syscall t vpe P.R_ok) :: other.on_complete )
             | Some
-                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke_msg _
-                | P_bcast _ | P_part_caps _ )
+                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke_msg _ | P_bcast _
+                | P_part_caps _ )
             | None ->
               (dispatch, fun () -> finish_syscall t vpe P.R_ok))
           | Cap.Alive ->
@@ -1706,34 +1733,6 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
             start_revoke t ~origin:(Ro_exit vpe) ~roots:!roots ~own:true
               ~base_cost:(c t).Cost.revoke_start ))
 
-(* Local delegate: create the child under the receiver, no handshake
-   needed since a single kernel serialises everything. *)
-and local_delegate t ~(client : Vpe.t) ~src_key ~(recv : Vpe.t) =
-  vpe_accept_roundtrip t recv (fun accepted ->
-      job t (fun () ->
-          if not accepted then
-            ((c t).Cost.exchange_create, fun () -> finish_syscall t client (P.R_err P.E_denied))
-          else
-            match
-              match Mapdb.find t.mapdb src_key with
-              | None -> Error P.E_no_such_cap
-              | Some cap -> exchangeable cap
-            with
-            | Error e -> ((c t).Cost.exchange_create, fun () -> finish_syscall t client (P.R_err e))
-            | Ok src_cap ->
-              if not (Vpe.is_alive recv) then
-                ((c t).Cost.exchange_create, fun () -> finish_syscall t client (P.R_err P.E_vpe_dead))
-              else begin
-                let key =
-                  mint_key t ~creator_pe:recv.Vpe.pe ~creator_vpe:recv.Vpe.id
-                    ~kind:(Cap.kind_to_key_kind src_cap.Cap.kind)
-                in
-                let _sel = create_linked_cap t ~owner:recv ~kind:src_cap.Cap.kind ~parent:(Some src_cap) ~key in
-                Obs.Registry.incr t.ctr.exchanges_local;
-                ( Int64.add (c t).Cost.exchange_create (Cost.ddl (c t) 3),
-                  fun () -> finish_syscall t client P.R_ok )
-              end))
-
 (* ------------------------------------------------------------------ *)
 (* Inter-kernel call handling                                          *)
 
@@ -1744,73 +1743,37 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
   trace_event t ~kind:"ikc_recv" ~op:(ikc_op ikc) ~src:src_kernel ~dst:t.id (P.ikc_name ikc);
   match ikc with
   | P.Ik_obtain_req { op; src_kernel = origin; obj_reserved; client_pe; client_vpe; donor } ->
-    if remote_dup t ~src_kernel ~op then ()
-    else
-      Thread_pool.acquire t.threads (fun () ->
-          job t (fun () ->
-              let cost = Int64.add (c t).Cost.exchange_remote (Cost.ddl (c t) 2) in
-              ( cost,
-                fun () ->
-                  return_credit t ~src_kernel;
-                  handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor )))
+    exchange_request t ~src_kernel ~op (obtain_kind donor) (fun () ->
+        handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor)
   | P.Ik_obtain_reply { op; result } ->
-    job t (fun () ->
-        let cost = Int64.add (c t).Cost.exchange_create (Cost.ddl (c t) 2) in
-        ( cost,
-          fun () ->
-            return_credit t ~src_kernel;
-            handle_obtain_reply t ~op ~result ))
+    let ex =
+      match result with
+      | P.Session _ | P.Refused { sess_open = true; _ } -> Open
+      | P.Linked _ | P.Refused { sess_open = false; _ } -> Obtain
+    in
+    exchange_reply t ~src_kernel (charges t ex).reply (fun () -> handle_obtain_reply t ~op ~result)
   | P.Ik_delegate_req { op; src_kernel = origin; parent_key; kind; recv } ->
-    if remote_dup t ~src_kernel ~op then ()
-    else
-      Thread_pool.acquire t.threads (fun () ->
-          job t (fun () ->
-              let cost = Int64.add (c t).Cost.exchange_remote (Cost.ddl (c t) 1) in
-              ( cost,
-                fun () ->
-                  return_credit t ~src_kernel;
-                  handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv )))
+    exchange_request t ~src_kernel ~op Delegate (fun () ->
+        handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv)
   | P.Ik_delegate_reply { op; result } ->
-    job t (fun () ->
-        let cost = Int64.add (c t).Cost.exchange_create (Cost.ddl (c t) 2) in
-        ( cost,
-          fun () ->
-            return_credit t ~src_kernel;
-            handle_delegate_reply t ~op ~result ))
+    exchange_reply t ~src_kernel (charges t Delegate).reply (fun () -> handle_delegate_reply t ~op ~result)
   | P.Ik_delegate_ack { op; child_key; commit } ->
-    job t (fun () ->
-        ( Cost.ddl (c t) 1,
-          fun () ->
-            return_credit t ~src_kernel;
-            handle_delegate_ack t ~op ~child_key ~commit ))
-  | P.Ik_open_sess_req { op; src_kernel = origin; srv_key; sess_key; client_vpe } ->
-    if remote_dup t ~src_kernel ~op then ()
-    else
-      Thread_pool.acquire t.threads (fun () ->
-          job t (fun () ->
-              ( (c t).Cost.session_open,
-                fun () ->
-                  return_credit t ~src_kernel;
-                  handle_open_sess_req t ~origin ~op ~srv_key ~sess_key ~client_vpe )))
-  | P.Ik_open_sess_reply { op; result } ->
-    job t (fun () ->
-        ( Int64.add (c t).Cost.session_open (Cost.ddl (c t) 1),
-          fun () ->
-            return_credit t ~src_kernel;
-            handle_open_sess_reply t ~op ~result ))
+    exchange_reply t ~src_kernel (Cost.ddl (c t) 1) (fun () ->
+        handle_delegate_ack t ~op ~child_key ~commit)
   | P.Ik_revoke_req { op; src_kernel = origin; keys } ->
-    if remote_dup t ~src_kernel ~op then ()
-    else
-      (* Handled without pausing a thread (Algorithm 1). *)
-      return_credit_after_dispatch t ~src_kernel (fun () ->
-        let base_cost =
-          if Cost.broadcast (c t) then
-            (* No explicit relations: scan the whole mapping database. *)
-            Int64.add (c t).Cost.revoke_request
-              (Int64.mul (Int64.of_int (Mapdb.count t.mapdb)) (c t).Cost.revoke_scan_per_cap)
-          else (c t).Cost.revoke_request
-        in
-        start_revoke t ~origin:(Ro_remote (origin, op)) ~roots:keys ~own:true ~base_cost)
+    if not (remote_dup t ~src_kernel ~op) then begin
+      (* Handled without pausing a thread (Algorithm 1). The credit
+         returns at once; the marking job carries the real cost. *)
+      return_credit t ~src_kernel;
+      let base_cost =
+        if Cost.broadcast (c t) then
+          (* No explicit relations: scan the whole mapping database. *)
+          Int64.add (c t).Cost.revoke_request
+            (Int64.mul (Int64.of_int (Mapdb.count t.mapdb)) (c t).Cost.revoke_scan_per_cap)
+        else (c t).Cost.revoke_request
+      in
+      start_revoke t ~origin:(Ro_remote (origin, op)) ~roots:keys ~own:true ~base_cost
+    end
   | P.Ik_revoke_reply { op; keys = _; cont } ->
     job t (fun () ->
         ( (c t).Cost.revoke_reply,
@@ -1827,8 +1790,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               revoke_release t rop
             | Some (P_revoke rop) -> revoke_release t rop
             | Some
-                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_bcast _
-                | P_part_caps _ )
+                (P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_bcast _ | P_part_caps _)
             | None ->
               (* Redelivered reply for a message op already retired. *)
               Obs.Registry.incr t.ctr.dup_ikc) ))
@@ -1867,8 +1829,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               clear_retry t op;
               pc_done ()
             | Some
-                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _
-                | P_revoke_msg _ )
+                (P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _)
             | None ->
               (* Redelivered ack after the broadcast or wave completed. *)
               Obs.Registry.incr t.ctr.dup_ikc) ))
@@ -1879,7 +1840,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
             (* Idempotent directory write; the ack rides the credit
                return so the announcing kernel stops retransmitting.
                Before this the announce was fire-and-forget: one drop
-               and every open_sess routed here failed forever. *)
+               and every session open routed here failed forever. *)
             return_credit t ~ack_op:op ~src_kernel;
             Hashtbl.replace t.directory name srv_key ))
   | P.Ik_fleet_state { op; src_kernel = origin; kernel; state } ->
@@ -1986,136 +1947,137 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
     o.o_left <- o.o_left + (List.length msgs - 1);
     List.iter (fun m -> deliver_ikc t ~src_kernel m) msgs
 
-(* Revoke requests return their credit right after the (cost-bearing)
-   dispatch; the marking job itself carries the real cost. *)
-and return_credit_after_dispatch t ~src_kernel k =
-  return_credit t ~src_kernel;
-  k ()
+(* A spanning exchange request, unless redelivered: served on a kernel
+   thread that stays held until the exchange is decided. *)
+and exchange_request t ~src_kernel ~op ex serve =
+  if not (remote_dup t ~src_kernel ~op) then
+    Thread_pool.acquire t.threads (fun () ->
+        job t (fun () ->
+            ( (charges t ex).serve,
+              fun () ->
+                return_credit t ~src_kernel;
+                serve () )))
 
+(* A reply or ack of a spanning exchange, handled after a [cost] job. *)
+and exchange_reply t ~src_kernel cost handle =
+  job t (fun () ->
+      ( cost,
+        fun () ->
+          return_credit t ~src_kernel;
+          handle () ))
+
+(* The donor's kernel serves a spanning obtain: check what it hosts, ask
+   the donor, and link the child under the parent before replying. *)
 and handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor =
+  let ex = obtain_kind donor in
   let reply result =
     Thread_pool.release t.threads;
     finish_remote t ~op ~dst:origin (P.Ik_obtain_reply { op; result })
   in
-  let grant ~parent_key ~kind =
-    job t (fun () ->
-        match Mapdb.find t.mapdb parent_key with
-        | None -> (Cost.ddl (c t) 1, fun () -> reply (Error P.E_no_such_cap))
-        | Some parent ->
-          if Cap.is_marked parent then (Cost.ddl (c t) 1, fun () -> reply (Error P.E_in_revocation))
-          else begin
-            let child_key =
-              Key.make ~pe:client_pe ~vpe:client_vpe ~kind:(Cap.kind_to_key_kind kind) ~obj:obj_reserved
-            in
-            Mapdb.add_child t.mapdb ~parent:parent.Cap.key child_key;
-            Obs.Registry.incr t.ctr.exchanges_spanning;
-            (Cost.ddl (c t) 1, fun () -> reply (Ok (child_key, kind, parent_key)))
-          end)
+  (* A VPE donor gives the capability checked here: its selector may
+     name another one by the time the donor has accepted. *)
+  let hosted =
+    match donor with
+    | P.Direct { donor_vpe; donor_sel } ->
+      Result.bind (hosted_vpe t donor_vpe) (fun d -> Result.bind (resolve_sel t d donor_sel) exchangeable)
+      |> Result.map (fun (cap : Cap.t) -> Some (Named (cap.Cap.key, cap.Cap.kind)))
+    | P.Open_session { srv_key } -> (
+      match live_parent t srv_key with
+      | Ok _ -> Ok None
+      | Error e -> Error (if e = P.E_no_such_cap then P.E_no_such_service else e))
+    | P.Via_session _ -> Ok None
   in
-  match donor with
-  | P.Direct { donor_vpe; donor_sel } -> (
-    match t.env.locate_vpe donor_vpe with
-    | None -> reply (Error P.E_no_such_vpe)
-    | Some donor_v when donor_v.Vpe.kernel <> t.id -> reply (Error P.E_no_such_vpe)
-    | Some donor_v when not (Vpe.is_alive donor_v) -> reply (Error P.E_vpe_dead)
-    | Some donor_v -> (
-      match Result.bind (resolve_sel t donor_v donor_sel) exchangeable with
-      | Error e -> reply (Error e)
-      | Ok donor_cap ->
-        vpe_accept_roundtrip t donor_v (fun accepted ->
-            if not accepted then reply (Error P.E_denied)
-            else grant ~parent_key:donor_cap.Cap.key ~kind:donor_cap.Cap.kind)))
-  | P.Via_session { srv_key; ident; args } ->
-    service_upcall t ~srv_key (P.Srq_obtain { ident; args }) (fun resp ->
-        match resp with
-        | P.Srs_grant { parent; kind } -> grant ~parent_key:parent ~kind
-        | P.Srs_reject e -> reply (Error e)
-        | P.Srs_session _ | P.Srs_accept -> reply (Error P.E_invalid))
+  match hosted with
+  | Error e -> reply (refused ex e)
+  | Ok pinned ->
+    ask_donor t ~client_vpe donor (function
+      | Error e -> reply (refused ex e)
+      | Ok grant ->
+        let grant = Option.value pinned ~default:grant in
+        job t (fun () ->
+            let ch = charges t ex in
+            match granted_parent t grant with
+            | Error e -> (ch.remote_fail, fun () -> reply (refused ex e))
+            | Ok parent ->
+              let kind = granted_kind parent grant in
+              let child_key = child_key ~pe:client_pe ~vpe:client_vpe kind obj_reserved in
+              Mapdb.add_child t.mapdb ~parent:parent.Cap.key child_key;
+              let answer =
+                match (ex, kind) with
+                | Open, Cap.Sess_cap { ident; srv = _ } -> P.Session { ident }
+                | _, _ ->
+                  Obs.Registry.incr t.ctr.exchanges_spanning;
+                  P.Linked { kind; parent = parent.Cap.key }
+              in
+              (ch.remote_link, fun () -> reply answer)))
 
 and handle_obtain_reply t ~op ~result =
   match Hashtbl.find_opt t.pending_ops op with
-  | Some (P_obtain { client }) -> (
+  | Some (P_obtain { client; donor; obj_reserved }) -> (
     Hashtbl.remove t.pending_ops op;
     clear_retry t op;
-    match result with
-    | Error e -> finish_syscall t client (P.R_err e)
-    | Ok (child_key, kind, parent_key) ->
-      if not (Vpe.is_alive client) then begin
-        (* Orphaned child at the donor side (paper §4.3.2, "Orphaned"):
-           notify the donor's kernel so it can unlink promptly. *)
-        send_unlink t ~dst:(owner_kernel t parent_key) ~parent_key ~child_key;
-        Thread_pool.release t.threads
-      end
-      else begin
-        let cap = Cap.make ~key:child_key ~kind ~owner_vpe:client.Vpe.id ~parent:parent_key () in
-        Mapdb.insert t.mapdb cap;
-        Obs.Registry.incr t.ctr.caps_created;
-        let sel = Capspace.insert client.Vpe.capspace child_key in
-        finish_syscall t client (P.R_sel sel)
-      end)
-  | Some
-      ( P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _
-      | P_bcast _ | P_part_caps _ )
+    match (result, donor) with
+    | P.Linked { kind; parent }, _ -> obtained t client ~obj_reserved Obtain kind parent
+    | P.Session { ident }, P.Open_session { srv_key } ->
+      obtained t client ~obj_reserved Open (Cap.Sess_cap { srv = srv_key; ident }) srv_key
+    | P.Refused { error; sess_open = _ }, _ -> finish_syscall t client (P.R_err error)
+    | P.Session _, (P.Direct _ | P.Via_session _) -> finish_syscall t client (P.R_err P.E_invalid))
+  | Some (P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _ | P_bcast _ | P_part_caps _)
   | None ->
     (* Redelivered reply: the obtain already completed. *)
     Obs.Registry.incr t.ctr.dup_ikc;
     Log.debug (fun m -> m "kernel %d: duplicate obtain reply for op %d" t.id op)
 
+(* The child linked at the donor's kernel enters the client's space. *)
+and obtained t (client : Vpe.t) ~obj_reserved ex kind parent_key =
+  let child_key = child_key ~pe:client.Vpe.pe ~vpe:client.Vpe.id kind obj_reserved in
+  if not (Vpe.is_alive client) then begin
+    (* Orphaned child at the donor side (paper §4.3.2, "Orphaned"):
+       notify the donor's kernel so it can unlink promptly. *)
+    send_unlink t ~dst:(owner_kernel t parent_key) ~parent_key ~child_key;
+    Thread_pool.release t.threads
+  end
+  else begin
+    let cap = Cap.make ~key:child_key ~kind ~owner_vpe:client.Vpe.id ~parent:parent_key () in
+    Mapdb.insert t.mapdb cap;
+    Obs.Registry.incr t.ctr.caps_created;
+    let sel = Capspace.insert client.Vpe.capspace child_key in
+    finish_syscall t client (exchanged ex ~sel kind)
+  end
+
+(* The receiver's kernel serves a spanning delegate: check what it
+   hosts, ask the receiver, and create the child, which enters the
+   receiver's space only on the source's commit ack. *)
 and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
-  let reply result =
-    (* The thread stays held until the ack: the two-way handshake is the
-       paper's fix for the "Invalid" anomaly. A committed reply is also
-       retransmitted until the ack arrives, covering a lost ack (the
-       source re-sends its cached ack on seeing the duplicate reply). *)
-    let msg = P.Ik_delegate_reply { op; result } in
-    (match result with
-    | Ok _ -> register_retry t op ~dst:origin msg
-    | Error _ -> ());
-    finish_remote t ~op ~dst:origin msg
+  (* A committed reply holds the thread until the ack (the two-way
+     handshake, the paper's fix for the "Invalid" anomaly) and is
+     retransmitted until the ack arrives, covering a lost ack (the
+     source re-sends its cached ack on a duplicate reply). *)
+  let refuse e =
+    Thread_pool.release t.threads;
+    finish_remote t ~op ~dst:origin (P.Ik_delegate_reply { op; result = Error e })
   in
-  let proceed (recv_v : Vpe.t) =
-    job t (fun () ->
-        if not (Vpe.is_alive recv_v) then (0L, fun () -> Thread_pool.release t.threads; reply (Error P.E_vpe_dead))
-        else begin
-          let child_key =
-            mint_key t ~creator_pe:recv_v.Vpe.pe ~creator_vpe:recv_v.Vpe.id
-              ~kind:(Cap.kind_to_key_kind kind)
-          in
-          (* Created but *not* yet inserted into the receiver's cap
-             space: that happens on the ack. *)
-          let cap = Cap.make ~key:child_key ~kind ~owner_vpe:recv_v.Vpe.id ~parent:parent_key () in
-          Mapdb.insert t.mapdb cap;
-          Hashtbl.add t.pending_ops op
-            (P_delegate_dst { child_key; recv_vpe = recv_v.Vpe.id; src_kernel = origin });
-          Obs.Registry.incr t.ctr.exchanges_spanning;
-          (Cost.ddl (c t) 2, fun () -> reply (Ok child_key))
-        end)
-  in
-  match recv with
-  | P.Recv_vpe recv_vpe -> (
-    match t.env.locate_vpe recv_vpe with
-    | None -> Thread_pool.release t.threads; reply (Error P.E_no_such_vpe)
-    | Some recv_v when recv_v.Vpe.kernel <> t.id -> Thread_pool.release t.threads; reply (Error P.E_no_such_vpe)
-    | Some recv_v when not (Vpe.is_alive recv_v) -> Thread_pool.release t.threads; reply (Error P.E_vpe_dead)
-    | Some recv_v ->
-      vpe_accept_roundtrip t recv_v (fun accepted ->
-          if not accepted then begin
-            Thread_pool.release t.threads;
-            reply (Error P.E_denied)
-          end
-          else proceed recv_v))
-  | P.Recv_service { srv_key; ident; args } ->
-    service_upcall t ~srv_key (P.Srq_delegate { ident; args; kind }) (fun resp ->
-        match resp with
-        | P.Srs_accept -> (
-          match Key.Table.find_opt t.services_by_key srv_key with
-          | None -> Thread_pool.release t.threads; reply (Error P.E_no_such_service)
-          | Some service -> (
-            match t.env.locate_vpe service.srv_vpe with
-            | None -> Thread_pool.release t.threads; reply (Error P.E_no_such_vpe)
-            | Some recv_v -> proceed recv_v))
-        | P.Srs_reject e -> Thread_pool.release t.threads; reply (Error e)
-        | P.Srs_session _ | P.Srs_grant _ -> Thread_pool.release t.threads; reply (Error P.E_invalid))
+  match (match recv with P.Recv_vpe vid -> Result.map ignore (hosted_vpe t vid) | P.Recv_service _ -> Ok ()) with
+  | Error e -> refuse e
+  | Ok () ->
+    ask_receiver t ~kind recv (function
+      | Error e -> refuse e
+      | Ok (recv_v : Vpe.t) ->
+        job t (fun () ->
+            let ch = charges t Delegate in
+            if not (Vpe.is_alive recv_v) then (ch.remote_fail, fun () -> refuse P.E_vpe_dead)
+            else begin
+              let child_key = child_key ~pe:recv_v.Vpe.pe ~vpe:recv_v.Vpe.id kind (Mapdb.fresh_obj t.mapdb) in
+              (* Created but *not* yet inserted into the receiver's cap
+                 space: that happens on the ack. *)
+              let cap = Cap.make ~key:child_key ~kind ~owner_vpe:recv_v.Vpe.id ~parent:parent_key () in
+              Mapdb.insert t.mapdb cap;
+              Hashtbl.add t.pending_ops op
+                (P_delegate_dst { child_key; recv_vpe = recv_v.Vpe.id; src_kernel = origin });
+              Obs.Registry.incr t.ctr.exchanges_spanning;
+              let msg = P.Ik_delegate_reply { op; result = Ok child_key } in
+              (ch.remote_link, fun () -> register_retry t op ~dst:origin msg; finish_remote t ~op ~dst:origin msg)
+            end))
 
 and handle_delegate_reply t ~op ~result =
   match Hashtbl.find_opt t.pending_ops op with
@@ -2133,20 +2095,18 @@ and handle_delegate_reply t ~op ~result =
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
     | Ok child_key -> (
-      match Mapdb.find t.mapdb src_key with
-      | Some src_cap when not (Cap.is_marked src_cap) ->
+      match live_parent t src_key with
+      | Ok src_cap ->
         Mapdb.add_child t.mapdb ~parent:src_cap.Cap.key child_key;
         send_ack true child_key;
         finish_syscall t client P.R_ok
-      | Some _ | None ->
+      | Error _ ->
         (* The delegated capability was revoked while the handshake was
            in flight: abort so the receiver never gains unjustified
            access (paper §4.3.2, "Invalid"). *)
         send_ack false child_key;
         finish_syscall t client (P.R_err P.E_in_revocation)))
-  | Some
-      ( P_obtain _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_bcast _
-      | P_part_caps _ )
+  | Some (P_obtain _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _ | P_bcast _ | P_part_caps _)
   | None -> (
     (* Redelivered reply after the handshake completed here: re-send
        the cached ack in case the original ack was lost. *)
@@ -2168,83 +2128,24 @@ and handle_delegate_ack t ~op ~child_key ~commit =
     assert (Key.equal ck child_key);
     (match Mapdb.find t.mapdb child_key with
     | None -> () (* revoked in the meantime; nothing to do *)
-    | Some cap ->
-      if not commit then begin
-        Mapdb.remove t.mapdb child_key;
-        Obs.Registry.incr t.ctr.caps_deleted
-      end
-      else begin
-        match t.env.locate_vpe recv_vpe with
-        | Some recv when Vpe.is_alive recv ->
-          ignore (Capspace.insert recv.Vpe.capspace child_key);
-          Obs.Registry.incr t.ctr.caps_created
-        | Some _ | None -> (
-          (* Receiver died while waiting for the ack: orphan; drop the
-             record and tell the source kernel to unlink. *)
-          Mapdb.remove t.mapdb child_key;
-          Obs.Registry.incr t.ctr.caps_deleted;
-          match cap.Cap.parent with
-          | Some parent_key -> send_unlink t ~dst:src_kernel ~parent_key ~child_key
-          | None -> ())
-      end);
+    | Some _ when not commit ->
+      Mapdb.remove t.mapdb child_key;
+      Obs.Registry.incr t.ctr.caps_deleted
+    | Some cap -> (
+      match t.env.locate_vpe recv_vpe with
+      | Some recv when Vpe.is_alive recv ->
+        ignore (Capspace.insert recv.Vpe.capspace child_key);
+        Obs.Registry.incr t.ctr.caps_created
+      | Some _ | None ->
+        (* Receiver died while waiting for the ack: orphan. *)
+        drop_delegated t ~src_kernel cap));
     (* Handshake over: release the thread held since the request. *)
     Thread_pool.release t.threads)
-  | Some
-      ( P_obtain _ | P_delegate_src _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_bcast _
-      | P_part_caps _ )
+  | Some (P_obtain _ | P_delegate_src _ | P_revoke _ | P_revoke_msg _ | P_bcast _ | P_part_caps _)
   | None ->
     (* Redelivered ack: the handshake already completed and its thread
        was already released — releasing again would corrupt the pool. *)
     Obs.Registry.incr t.ctr.dup_ikc
-
-and handle_open_sess_req t ~origin ~op ~srv_key ~sess_key ~client_vpe =
-  let reply result =
-    Thread_pool.release t.threads;
-    finish_remote t ~op ~dst:origin (P.Ik_open_sess_reply { op; result })
-  in
-  match Mapdb.find t.mapdb srv_key with
-  | None -> reply (Error P.E_no_such_service)
-  | Some srv_cap when Cap.is_marked srv_cap -> reply (Error P.E_in_revocation)
-  | Some srv_cap ->
-    service_upcall t ~srv_key (P.Srq_open_session { client_vpe }) (fun resp ->
-        match resp with
-        | P.Srs_session { ident } ->
-          job t (fun () ->
-              match Mapdb.find t.mapdb srv_cap.Cap.key with
-              | Some srv_cap when not (Cap.is_marked srv_cap) ->
-                Mapdb.add_child t.mapdb ~parent:srv_cap.Cap.key sess_key;
-                (Cost.ddl (c t) 1, fun () -> reply (Ok ident))
-              | Some _ | None -> (Cost.ddl (c t) 1, fun () -> reply (Error P.E_in_revocation)))
-        | P.Srs_reject e -> reply (Error e)
-        | P.Srs_grant _ | P.Srs_accept -> reply (Error P.E_invalid))
-
-and handle_open_sess_reply t ~op ~result =
-  match Hashtbl.find_opt t.pending_ops op with
-  | Some (P_open_sess { client; sess_key; srv_key; srv_kernel }) -> (
-    Hashtbl.remove t.pending_ops op;
-    clear_retry t op;
-    match result with
-    | Error e -> finish_syscall t client (P.R_err e)
-    | Ok ident ->
-      if not (Vpe.is_alive client) then begin
-        send_unlink t ~dst:srv_kernel ~parent_key:srv_key ~child_key:sess_key;
-        Thread_pool.release t.threads
-      end
-      else begin
-        let kind = Cap.Sess_cap { srv = srv_key; ident } in
-        let cap = Cap.make ~key:sess_key ~kind ~owner_vpe:client.Vpe.id ~parent:srv_key () in
-        Mapdb.insert t.mapdb cap;
-        Obs.Registry.incr t.ctr.caps_created;
-        let sel = Capspace.insert client.Vpe.capspace sess_key in
-        finish_syscall t client (P.R_sess { sel; ident })
-      end)
-  | Some
-      ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _
-      | P_bcast _ | P_part_caps _ )
-  | None ->
-    (* Redelivered reply: the session open already completed. *)
-    Obs.Registry.incr t.ctr.dup_ikc;
-    Log.debug (fun m -> m "kernel %d: duplicate open-session reply for op %d" t.id op)
 
 (* Phase 2 of a bulk partition handoff: extract every record of the
    moving partitions, detach their VPEs, and ship the whole set to the
@@ -2467,7 +2368,6 @@ let quiescence_report t =
     | P_obtain _ -> "obtain"
     | P_delegate_src _ -> "delegate_src"
     | P_delegate_dst _ -> "delegate_dst"
-    | P_open_sess _ -> "open_sess"
     | P_revoke _ -> "revoke"
     | P_revoke_msg _ -> "revoke_msg"
     | P_bcast _ -> "bcast"

@@ -8,7 +8,8 @@
     - two-phase mark-and-sweep revocation (§4.3.3, Algorithm 1) with
       per-operation outstanding-reply counters, which never acknowledges
       an incomplete revoke and denies exchanges of marked capabilities;
-    - cross-group session establishment (Figure 3, sequence B).
+    - session establishment (Figure 3, sequence B) as an obtain whose
+      donor is the service.
 
     One kernel instance runs on a dedicated kernel PE, modelled as a
     single-capacity server: every message (syscall or IKC) charges

@@ -79,6 +79,12 @@ let pp_reply ppf = function
 type donor =
   | Via_session of { srv_key : Key.t; ident : int; args : int list }
   | Direct of { donor_vpe : int; donor_sel : selector }
+  | Open_session of { srv_key : Key.t }
+
+type obtained =
+  | Linked of { kind : Semper_caps.Cap.kind; parent : Key.t }
+  | Session of { ident : int }
+  | Refused of { error : error; sess_open : bool }
 
 type recv_ref =
   | Recv_vpe of int
@@ -101,7 +107,7 @@ type ikc =
       client_vpe : int;
       donor : donor;
     }
-  | Ik_obtain_reply of { op : int; result : (Key.t * Semper_caps.Cap.kind * Key.t, error) result }
+  | Ik_obtain_reply of { op : int; result : obtained }
   | Ik_delegate_req of {
       op : int;
       src_kernel : int;
@@ -111,14 +117,6 @@ type ikc =
     }
   | Ik_delegate_reply of { op : int; result : (Key.t, error) result }
   | Ik_delegate_ack of { op : int; child_key : Key.t; commit : bool }
-  | Ik_open_sess_req of {
-      op : int;
-      src_kernel : int;
-      srv_key : Key.t;
-      sess_key : Key.t;
-      client_vpe : int;
-    }
-  | Ik_open_sess_reply of { op : int; result : (int, error) result }
   | Ik_revoke_req of { op : int; src_kernel : int; keys : Key.t list }
   | Ik_revoke_reply of { op : int; keys : Key.t list; cont : Key.t list }
       (* [cont]: marked-subtree roots the responder discovered on the
@@ -161,8 +159,6 @@ let ikc_name = function
   | Ik_delegate_req _ -> "delegate_req"
   | Ik_delegate_reply _ -> "delegate_reply"
   | Ik_delegate_ack _ -> "delegate_ack"
-  | Ik_open_sess_req _ -> "open_sess_req"
-  | Ik_open_sess_reply _ -> "open_sess_reply"
   | Ik_revoke_req _ -> "revoke_req"
   | Ik_revoke_reply _ -> "revoke_reply"
   | Ik_remove_child _ -> "remove_child"

@@ -69,10 +69,32 @@ type reply =
 
 val pp_reply : Format.formatter -> reply -> unit
 
-(** How an obtain names its donor on the destination kernel. *)
+(** How an obtain names its donor on the destination kernel. The
+    donor's kernel asks the donor and, once it agrees, links the child
+    under the parent the donor hands over. *)
 type donor =
   | Via_session of { srv_key : Key.t; ident : int; args : int list }
+      (** the service behind a session grants a child of a capability it
+          owns ({!Srq_obtain}) *)
   | Direct of { donor_vpe : int; donor_sel : selector }
+      (** a VPE accepts handing over the capability at [donor_sel] *)
+  | Open_session of { srv_key : Key.t }
+      (** a session open: the service accepts the client
+          ({!Srq_open_session}), and the child is a session capability
+          under the service capability [srv_key] *)
+
+(** The donor kernel's answer to an obtain. The child's key is the one
+    the client's kernel reserved ([obj_reserved]), so it is not sent
+    back. *)
+type obtained =
+  | Linked of { kind : Semper_caps.Cap.kind; parent : Key.t }
+      (** the child, of [kind], is linked under [parent] *)
+  | Session of { ident : int }
+      (** an {!Open_session} donor accepted: the capability of session
+          [ident] is linked under the service capability *)
+  | Refused of { error : error; sess_open : bool }
+      (** [sess_open]: the refused obtain was a session open, which
+          the client's kernel charges like an accepted one *)
 
 (** How a delegate names its receiver on the destination kernel. *)
 type recv_ref =
@@ -99,11 +121,7 @@ type ikc =
       client_vpe : int;
       donor : donor;
     }
-  | Ik_obtain_reply of {
-      op : int;
-      result : (Key.t * Semper_caps.Cap.kind * Key.t, error) result;
-          (** child key, child kind, parent key *)
-    }
+  | Ik_obtain_reply of { op : int; result : obtained }
   | Ik_delegate_req of {
       op : int;
       src_kernel : int;
@@ -113,14 +131,6 @@ type ikc =
     }
   | Ik_delegate_reply of { op : int; result : (Key.t, error) result }  (** child key *)
   | Ik_delegate_ack of { op : int; child_key : Key.t; commit : bool }
-  | Ik_open_sess_req of {
-      op : int;
-      src_kernel : int;
-      srv_key : Key.t;
-      sess_key : Key.t;
-      client_vpe : int;
-    }
-  | Ik_open_sess_reply of { op : int; result : (int, error) result }  (** session ident *)
   | Ik_revoke_req of { op : int; src_kernel : int; keys : Key.t list }
   | Ik_revoke_reply of { op : int; keys : Key.t list; cont : Key.t list }
       (** [cont]: marked-subtree roots the responder discovered on the

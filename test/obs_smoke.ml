@@ -16,8 +16,8 @@
 
 open Semperos
 
-let golden_stats_md5 = "03c19e14e4f50c42a9fc5fb8c9859302"
-let golden_trace_md5 = "55ea37edc14fb6918409f545b02c9952"
+let golden_stats_md5 = "c9ee34784bea89ba5d4cdc2bcc9e4a44"
+let golden_trace_md5 = "8362edcf8e768eb9bc1103506e08e0c5"
 
 let failed = ref false
 

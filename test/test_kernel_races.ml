@@ -97,30 +97,228 @@ let test_delegate_receiver_dies () =
       Audit.check sys)
     [ 0L; 900L; 1800L; 2700L; 3600L; 4500L ]
 
-(* The client dies while a cross-group session open is in flight: the
-   service capability must not keep an orphaned session child. *)
-let test_session_client_dies () =
-  let sys = make () in
+(* A service "svc" run by a fresh VPE on kernel 0. It answers a
+   session open, and accepts or rejects a delegate, [delay] cycles after
+   the upcall, like a service busy with its own queue; obtains are
+   rejected. Returns the service VPE and its service selector. *)
+let session_service ?(delay = 0L) ?(accept_delegate = true) ?(upcalls = ref 0) sys =
   let srv_vpe = System.spawn_vpe sys ~kernel:0 in
   Kernel.register_service_handler (System.kernel sys 0) ~name:"svc" (fun req k ->
-      match req with
-      | Protocol.Srq_open_session _ -> k (Protocol.Srs_session { ident = 0 })
-      | Protocol.Srq_obtain _ | Protocol.Srq_delegate _ ->
-        k (Protocol.Srs_reject Protocol.E_invalid));
-  (match System.syscall_sync sys srv_vpe (Protocol.Sys_create_srv { name = "svc" }) with
-  | Protocol.R_sel _ -> ()
-  | r -> Alcotest.failf "create_srv: %a" Protocol.pp_reply r);
+      incr upcalls;
+      let answer =
+        match req with
+        | Protocol.Srq_open_session _ -> Protocol.Srs_session { ident = 0 }
+        | Protocol.Srq_delegate _ ->
+          if accept_delegate then Protocol.Srs_accept else Protocol.Srs_reject Protocol.E_denied
+        | Protocol.Srq_obtain _ -> Protocol.Srs_reject Protocol.E_invalid
+      in
+      Engine.after (System.engine sys) delay (fun () -> k answer));
+  let srv_sel =
+    match System.syscall_sync sys srv_vpe (Protocol.Sys_create_srv { name = "svc" }) with
+    | Protocol.R_sel sel -> sel
+    | r -> Alcotest.failf "create_srv: %a" Protocol.pp_reply r
+  in
   ignore (System.run sys);
-  let client = System.spawn_vpe sys ~kernel:1 in
-  System.syscall sys client (Protocol.Sys_open_session { service = "svc" }) (fun _ -> ());
-  run_for sys 2_500L;
-  client.Vpe.state <- Vpe.Exited;
+  (srv_vpe, srv_sel)
+
+let open_session sys vpe =
+  match System.syscall_sync sys vpe (Protocol.Sys_open_session { service = "svc" }) with
+  | Protocol.R_sess { sel; ident = _ } -> sel
+  | r -> Alcotest.failf "open_session: %a" Protocol.pp_reply r
+
+(* The client dies while its session open is in flight, from another
+   group and from the service's own: the service capability must not
+   keep an orphaned session child. A service answering [delay] cycles
+   after the upcall keeps the open waiting on the service when the
+   client exits; a group-local open answered at once would already be
+   linked by then. *)
+let test_session_client_dies () =
+  List.iter
+    (fun (client_kernel, delay) ->
+      let sys = make () in
+      let _srv_vpe, _ = session_service ~delay sys in
+      let client = System.spawn_vpe sys ~kernel:client_kernel in
+      System.syscall sys client (Protocol.Sys_open_session { service = "svc" }) (fun _ -> ());
+      run_for sys 2_500L;
+      client.Vpe.state <- Vpe.Exited;
+      ignore (System.run sys);
+      (* Only the service capability lives; its child list is clean. *)
+      let label = Printf.sprintf "(client on kernel %d, delay %Ld)" client_kernel delay in
+      let srv_key = Option.get (Kernel.lookup_service (System.kernel sys 0) "svc") in
+      check Alcotest.int ("no orphan session " ^ label) 0
+        (Mapdb.child_count (Kernel.mapdb (System.kernel sys 0)) srv_key);
+      check Alcotest.int ("client holds nothing " ^ label) 0 (Capspace.count client.Vpe.capspace);
+      Audit.check sys)
+    [ (1, 0L); (1, 3_000L); (0, 3_000L) ]
+
+(* A group-local session open races the revocation of the service
+   capability: wherever it lands, the open must fail at the parent or
+   be swept with it — never link under a capability being revoked. *)
+let test_local_open_vs_service_revoke () =
+  List.iter
+    (fun inject_after ->
+      let sys = make () in
+      let srv_vpe, srv_sel = session_service sys in
+      ignore (open_session sys (System.spawn_vpe sys ~kernel:1));
+      let client = System.spawn_vpe sys ~kernel:0 in
+      let revoke_result = ref None and open_result = ref None in
+      System.syscall sys srv_vpe (Protocol.Sys_revoke { sel = srv_sel; own = true }) (fun r ->
+          revoke_result := Some r);
+      run_for sys inject_after;
+      System.syscall sys client (Protocol.Sys_open_session { service = "svc" }) (fun r ->
+          open_result := Some r);
+      ignore (System.run sys);
+      check (Alcotest.option reply_t)
+        (Printf.sprintf "revoke completes (inject %Ld)" inject_after)
+        (Some Protocol.R_ok) !revoke_result;
+      (match !open_result with
+      | Some
+          ( Protocol.R_sess _
+          | Protocol.R_err
+              (Protocol.E_in_revocation | Protocol.E_no_such_cap | Protocol.E_no_such_service) ) ->
+        ()
+      | Some r -> Alcotest.failf "open (inject %Ld): %a" inject_after Protocol.pp_reply r
+      | None -> Alcotest.fail "open never completed");
+      check Alcotest.int
+        (Printf.sprintf "nothing survives (inject %Ld)" inject_after)
+        0 (total_caps sys);
+      Audit.check sys)
+    [ 0L; 400L; 800L; 1200L; 1600L; 2000L; 2400L; 2800L; 3200L ]
+
+(* [Sys_delegate] through a session, from the service's group
+   ([client_kernel] 0) and from another one (1): the service decides
+   through its upcall, asked exactly once, and the child lands in the
+   service VPE's space. *)
+let delegate_via_session ~client_kernel ?(accept_delegate = true) ?(vpe_accepts = true) () =
+  let sys = make () in
+  let upcalls = ref 0 in
+  let srv_vpe, _ = session_service ~delay:500L ~accept_delegate ~upcalls sys in
+  srv_vpe.Vpe.accept_exchange <- vpe_accepts;
+  let client = System.spawn_vpe sys ~kernel:client_kernel in
+  let sess = open_session sys client in
+  let sel = alloc sys client in
+  let before = Capspace.count srv_vpe.Vpe.capspace in
+  upcalls := 0;
+  let r = System.syscall_sync sys client (Protocol.Sys_delegate { sess; sel; args = [] }) in
   ignore (System.run sys);
-  (* Only the service capability lives; its child list is clean. *)
-  let srv_key = Option.get (Kernel.lookup_service (System.kernel sys 0) "svc") in
-  check Alcotest.int "no orphan session" 0
-    (Mapdb.child_count (Kernel.mapdb (System.kernel sys 0)) srv_key);
-  Audit.check sys
+  check Alcotest.int "service asked once" 1 !upcalls;
+  (sys, srv_vpe, client, sel, r, Capspace.count srv_vpe.Vpe.capspace - before)
+
+let test_delegate_via_session () =
+  List.iter
+    (fun client_kernel ->
+      let where = if client_kernel = 0 then "local" else "spanning" in
+      (* Accepted: the service VPE owns a child of the client's cap. *)
+      let sys, _, client, sel, r, gained = delegate_via_session ~client_kernel () in
+      check reply_t (where ^ ": accepted") Protocol.R_ok r;
+      check Alcotest.int (where ^ ": service gained the child") 1 gained;
+      let key = Option.get (Capspace.find client.Vpe.capspace sel) in
+      check Alcotest.int (where ^ ": child linked") 1
+        (Mapdb.child_count (Kernel.mapdb (System.kernel sys client_kernel)) key);
+      Audit.check sys;
+      (* Rejected by the service. *)
+      let sys, _, _, _, r, gained = delegate_via_session ~client_kernel ~accept_delegate:false () in
+      check reply_t (where ^ ": rejected") (Protocol.R_err Protocol.E_denied) r;
+      check Alcotest.int (where ^ ": nothing delegated") 0 gained;
+      Audit.check sys;
+      (* The service VPE refuses direct exchanges, but a delegate to a
+         service is decided by the service's upcall alone. *)
+      let sys, _, _, _, r, gained = delegate_via_session ~client_kernel ~vpe_accepts:false () in
+      check reply_t (where ^ ": upcall decides") Protocol.R_ok r;
+      check Alcotest.int (where ^ ": service gained the child") 1 gained;
+      Audit.check sys)
+    [ 0; 1 ]
+
+(* The delegated capability is revoked while a delegate through a
+   session waits on the service: the service must never end up with a
+   live copy. *)
+let test_delegate_via_session_vs_revoke () =
+  List.iter
+    (fun (client_kernel, inject_after) ->
+      let sys = make () in
+      let srv_vpe, _ = session_service ~delay:500L sys in
+      let owner = System.spawn_vpe sys ~kernel:client_kernel in
+      let client = System.spawn_vpe sys ~kernel:client_kernel in
+      let sess = open_session sys client in
+      let root = alloc sys owner in
+      let sel =
+        sel_of
+          (System.syscall_sync sys client
+             (Protocol.Sys_obtain_from { donor_vpe = owner.Vpe.id; donor_sel = root }))
+      in
+      let before = Capspace.count srv_vpe.Vpe.capspace in
+      let delegate_result = ref None and revoke_result = ref None in
+      System.syscall sys client (Protocol.Sys_delegate { sess; sel; args = [] }) (fun r ->
+          delegate_result := Some r);
+      run_for sys inject_after;
+      System.syscall sys owner (Protocol.Sys_revoke { sel = root; own = true }) (fun r ->
+          revoke_result := Some r);
+      ignore (System.run sys);
+      let label = Printf.sprintf "(client on kernel %d, inject %Ld)" client_kernel inject_after in
+      check (Alcotest.option reply_t) ("revoke completes " ^ label) (Some Protocol.R_ok)
+        !revoke_result;
+      (match !delegate_result with
+      | Some (Protocol.R_ok | Protocol.R_err (Protocol.E_in_revocation | Protocol.E_no_such_cap))
+        ->
+        ()
+      | Some r -> Alcotest.failf "delegate %s: %a" label Protocol.pp_reply r
+      | None -> Alcotest.failf "delegate %s never completed" label);
+      check Alcotest.int ("service holds no copy " ^ label) before
+        (Capspace.count srv_vpe.Vpe.capspace);
+      Audit.check sys)
+    (List.concat_map
+       (fun k -> List.map (fun i -> (k, i)) [ 0L; 300L; 600L; 900L; 1500L; 2500L; 4000L ])
+       [ 0; 1 ])
+
+(* A spanning obtain_from races the revocation of the donor's
+   capability and a new allocation that takes over the freed selector
+   while the donor's acceptance is in flight: the child may only ever
+   hang under the capability the donor agreed to give. The donor holds
+   a child of [owner]'s capability, so [owner] revokes it while the
+   donor allocates. The revoke starts 2,000 cycles after the obtain,
+   once the donor's kernel has checked the selector, so the new
+   capability must never gain the child. *)
+let test_obtain_from_vs_selector_reuse () =
+  let reused = ref 0 in
+  List.iter
+    (fun alloc_after ->
+      let sys = make () in
+      let owner = System.spawn_vpe sys ~kernel:0 in
+      let donor = System.spawn_vpe sys ~kernel:0 in
+      let client = System.spawn_vpe sys ~kernel:1 in
+      let root = alloc sys owner in
+      let sel =
+        sel_of
+          (System.syscall_sync sys donor
+             (Protocol.Sys_obtain_from { donor_vpe = owner.Vpe.id; donor_sel = root }))
+      in
+      let obtain_result = ref None and revoke_result = ref None and realloc = ref None in
+      System.syscall sys client (Protocol.Sys_obtain_from { donor_vpe = donor.Vpe.id; donor_sel = sel })
+        (fun r -> obtain_result := Some r);
+      run_for sys 2_000L;
+      System.syscall sys owner (Protocol.Sys_revoke { sel = root; own = false }) (fun r ->
+          revoke_result := Some r);
+      run_for sys alloc_after;
+      System.syscall sys donor (Protocol.Sys_alloc_mem { size = 4096L; perms = Perms.rw }) (fun r ->
+          realloc := Some (sel_of r));
+      ignore (System.run sys);
+      let label = Printf.sprintf "(alloc %Ld after the revoke)" alloc_after in
+      check (Alcotest.option reply_t) ("revoke completes " ^ label) (Some Protocol.R_ok)
+        !revoke_result;
+      (match !obtain_result with
+      | Some (Protocol.R_sel _ | Protocol.R_err (Protocol.E_in_revocation | Protocol.E_no_such_cap)) -> ()
+      | Some r -> Alcotest.failf "obtain %s: %a" label Protocol.pp_reply r
+      | None -> Alcotest.failf "obtain %s never completed" label);
+      let new_sel = Option.get !realloc in
+      if new_sel = sel then incr reused;
+      let new_key = Option.get (Capspace.find donor.Vpe.capspace new_sel) in
+      check Alcotest.int ("new capability has no child " ^ label) 0
+        (Mapdb.child_count (Kernel.mapdb (System.kernel sys 0)) new_key);
+      check Alcotest.int ("client holds nothing " ^ label) 0 (Capspace.count client.Vpe.capspace);
+      Audit.check sys)
+    (List.init 31 (fun i -> Int64.of_int (i * 100)));
+  (* The sweep must reach the race it is about. *)
+  check Alcotest.bool "some allocation reused the selector" true (!reused > 0)
 
 (* Concurrent revokes racing from both ends of a spanning chain. *)
 let test_race_revokes_both_ends () =
@@ -415,6 +613,11 @@ let suite =
       test_delegate_aborted_by_revoke;
     Alcotest.test_case "delegate receiver dies (orphan)" `Quick test_delegate_receiver_dies;
     Alcotest.test_case "session client dies (orphan)" `Quick test_session_client_dies;
+    Alcotest.test_case "local open vs service revoke" `Quick test_local_open_vs_service_revoke;
+    Alcotest.test_case "delegate through a session" `Quick test_delegate_via_session;
+    Alcotest.test_case "delegate through a session vs revoke" `Quick
+      test_delegate_via_session_vs_revoke;
+    Alcotest.test_case "obtain_from vs selector reuse" `Quick test_obtain_from_vs_selector_reuse;
     Alcotest.test_case "revokes race from both ends" `Quick test_race_revokes_both_ends;
     Alcotest.test_case "exchange vs exit" `Quick test_exchange_vs_exit;
     Alcotest.test_case "determinism" `Quick test_determinism;
