@@ -119,15 +119,15 @@ let snapshot t =
   }
 
 (* Only retransmitted traffic may be dropped or duplicated: op-tagged
-   request/reply pairs, the op-tagged notifications (remove_child,
-   srv_announce — acked via the credit-return piggyback and retried
-   until then), and batch frames (whose op-tagged inner messages are
-   retried individually). Receivers dedup everything op-tagged. Credit
-   returns have no retry path, so dropping them would wedge the
-   protocols by design. *)
+   requests and their replies, the op-tagged notifications (acked on
+   the credit return and retried until then), and batch frames (whose
+   op-tagged inner messages are retried individually). Receivers
+   tolerate a redelivery of everything op-tagged. Credit returns have
+   no retry path, so dropping them would wedge the protocols by
+   design. *)
 let droppable = function
   | "obtain_req" | "obtain_reply" | "delegate_req" | "delegate_reply" | "delegate_ack"
-  | "revoke_req" | "revoke_reply" | "migrate_ack" | "remove_child" | "srv_announce" | "batch"
+  | "revoke_req" | "revoke_reply" | "remove_child" | "srv_announce" | "batch"
   | "fleet_state" | "part_update" | "part_records" ->
     true
   | _ -> false

@@ -24,8 +24,8 @@
     kernel and nowhere else, every kernel's membership replica must
     route the PE to the destination with no mid-handoff mark left, and
     the VPE must be unfrozen. A migration is a one-PE handoff wave, and
-    the fault plan may drop or duplicate its [part_update],
-    [part_records] and [migrate_ack] messages, so this oracle is what
+    the fault plan may drop or duplicate its [part_update] and
+    [part_records] messages, so this oracle is what
     proves the wave's retransmission and deduplication paths converge:
     a lost record wave would strand records at the source, a misapplied
     update would misroute lookups. *)

@@ -136,23 +136,18 @@ type pending =
      own op id so the responder can deduplicate redeliveries and a
      duplicated reply cannot double-decrement [outstanding]. *)
   | P_revoke_msg of { rop : revoke_op }
-  (* An acked broadcast ([acked_broadcast]) awaiting every peer's ack:
-     a fleet lifecycle announcement, or phase 1 of a partition handoff
-     (the membership flip). *)
+  (* One peer's copy of a broadcast ([broadcast]), each under its own
+     op: a service announcement, a fleet lifecycle announcement, or
+     phase 1 of a partition handoff (the membership flip). *)
   | P_bcast of bcast_op
   (* Phase 2 of a partition handoff: the framed record wave awaiting
      the destination's install acknowledgement. *)
   | P_part_caps of { pc_done : unit -> unit }
 
-and bcast_op = {
-  (* Peers whose ack is still missing, keyed by kernel id: acks arrive
-     in arbitrary order and each must be matched (and deduplicated) in
-     O(1), not by scanning a list. *)
-  b_peers : (int, unit) Hashtbl.t;
-  b_done : unit -> unit;
-  (* Pending retransmission tick, cancelled once the last ack is in. *)
-  mutable b_timer : Engine.handle option;
-}
+(* The peers of a broadcast whose ack is still missing. Each peer's op
+   leaves [pending_ops] on its first ack, so a redelivered ack cannot
+   count twice. *)
+and bcast_op = { mutable b_left : int; b_done : unit -> unit }
 
 (* The exchange kinds (§4.3.2). A session open is an obtain whose donor
    is the service; it is a kind of its own only for its charges, its
@@ -188,18 +183,18 @@ let exchange_charges cost ex =
     { forward = fwd; serve = remote + ddl 1; remote_link = ddl 2; remote_fail = 0L;
       reply = create + ddl 2; refuse_in_job = true; fail = create; link = create + ddl 3 }
 
-(* What a donor hands over, looked up again when the child is linked: a
-   capability named with the child's kind, or (group-local only)
-   whatever a VPE donor then holds at the selector. *)
-type grant = Named of Key.t * Cap.kind | Held of Vpe.t * P.selector
+(* What a donor hands over: a capability named with the child's kind,
+   looked up again when the child is linked, or why a VPE donor's
+   selector named none when it was resolved; that error is reported
+   only at link time, after the donor's round trip. *)
+type grant = (Key.t * Cap.kind, P.error) result
 
-let granted_kind (parent : Cap.t) = function Named (_, kind) -> kind | Held _ -> parent.Cap.kind
-
-(* Responder-side record of an op-tagged request: op ids are globally
-   unique (minted by the requester), so a redelivered request —
-   retransmission or fault-injected duplicate — is recognised and, once
-   finished, answered from the cached reply instead of re-executed. *)
-type remote_state = R_in_progress | R_done of { dst : int; msg : P.ikc }
+(* Responder-side record of an op-tagged message: op ids are globally
+   unique (minted by the sender), so a redelivery — retransmission or
+   fault-injected duplicate — is recognised and never re-executed. A
+   finished request is answered from its cached reply; a handled
+   notification is acked again. *)
+type remote_state = R_in_progress | R_done of { dst : int; msg : P.ikc } | R_acked
 
 (* A request awaiting a reply, retransmitted on timeout. [rstart] and
    [rattempts] feed the per-op latency and retry histograms. [rtimer]
@@ -213,11 +208,6 @@ type retry_state = {
   mutable rattempts : int;
   mutable rtimer : Engine.handle option;
 }
-
-(* Idempotency-cache entries scheduled for eviction once the retry
-   window has safely elapsed (no retransmission of the request can
-   still be in flight by then). *)
-type evict_key = Ev_remote of int | Ev_ack of int
 
 (* Outgoing coalescing state for one peer kernel (batching mode): the
    first message to a peer opens a DTU slot window ([bw_until]);
@@ -262,14 +252,11 @@ type t = {
   batch_queues : (int, batch_state) Hashtbl.t;  (* per peer kernel *)
   batch_owed : (int, owed) Hashtbl.t;  (* per peer kernel *)
   remote_ops : (int, remote_state) Hashtbl.t;
-  (* Requests awaiting a reply, retransmitted on timeout. *)
+  (* Messages awaiting their reply or ack, retransmitted on timeout. *)
   retry_msgs : (int, retry_state) Hashtbl.t;
-  (* Completed delegate handshakes: op -> (dst, ack), kept so a
-     redelivered reply can trigger an ack resend if the ack was lost. *)
-  completed_acks : (int, int * P.ikc) Hashtbl.t;
-  (* FIFO of (expiry, entry) for the two idempotency caches above;
-     expiries are monotone because entries are pushed at event time. *)
-  evictions : (int * evict_key) Queue.t;
+  (* FIFO of (expiry, op) for [remote_ops]; expiries are monotone
+     because entries are pushed at event time. *)
+  evictions : (int * int) Queue.t;
   obs : Obs.Registry.t;
   trace : Obs.Trace.t;
   ctr : counters;
@@ -383,7 +370,6 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
       batch_owed = Hashtbl.create 8;
       remote_ops = Hashtbl.create 32;
       retry_msgs = Hashtbl.create 16;
-      completed_acks = Hashtbl.create 16;
       evictions = Queue.create ();
       obs;
       trace;
@@ -453,8 +439,7 @@ let stats t : stats =
 let obs t = t.obs
 let trace_buffer t = t.trace
 
-let idempotency_cache_sizes t =
-  (Hashtbl.length t.remote_ops, Hashtbl.length t.completed_acks)
+let idempotency_cache_sizes t = Hashtbl.length t.remote_ops
 
 (* Per-peer send-credit windows, sorted by peer id. The fuzz credit
    oracle asserts every window stays within [0, Cost.max_inflight]. *)
@@ -489,7 +474,6 @@ type snapshot = {
   s_pending_ops : int list;  (* sorted *)
   s_retry_ops : int list;  (* sorted *)
   s_remote_ops : int list;  (* sorted *)
-  s_completed_acks : int list;  (* sorted *)
   s_evictions : int;
   s_credits : (int * int * int) list;  (* peer, credits, queued sends; sorted *)
   s_batch : (int * int) list;  (* peer, queued batch sends; sorted *)
@@ -511,7 +495,6 @@ let snapshot t =
     s_pending_ops = sorted_keys t.pending_ops;
     s_retry_ops = sorted_keys t.retry_msgs;
     s_remote_ops = sorted_keys t.remote_ops;
-    s_completed_acks = sorted_keys t.completed_acks;
     s_evictions = Queue.length t.evictions;
     s_credits =
       Hashtbl.fold (fun peer (c, q) acc -> (peer, !c, Queue.length q) :: acc) t.credits []
@@ -587,7 +570,6 @@ let ikc_op : P.ikc -> int = function
   | P.Ik_delegate_ack { op; _ }
   | P.Ik_revoke_req { op; _ }
   | P.Ik_revoke_reply { op; _ }
-  | P.Ik_migrate_ack { op }
   | P.Ik_remove_child { op; _ }
   | P.Ik_srv_announce { op; _ }
   | P.Ik_fleet_state { op; _ }
@@ -605,18 +587,15 @@ let evict_expired t =
   let now = Engine.clock t.engine in
   let continue = ref true in
   while !continue && not (Queue.is_empty t.evictions) do
-    let expiry, key = Queue.peek t.evictions in
+    let expiry, op = Queue.peek t.evictions in
     if expiry > now then continue := false
     else begin
       ignore (Queue.pop t.evictions);
-      match key with
-      | Ev_remote op -> (
-        (* Only a finished op may be dropped: an in-progress entry is
-           still the dedup guard for its request. *)
-        match Hashtbl.find_opt t.remote_ops op with
-        | Some (R_done _) -> Hashtbl.remove t.remote_ops op
-        | Some R_in_progress | None -> ())
-      | Ev_ack op -> Hashtbl.remove t.completed_acks op
+      (* Only a finished op may be dropped: an in-progress entry is
+         still the dedup guard for its message. *)
+      match Hashtbl.find_opt t.remote_ops op with
+      | Some (R_done _ | R_acked) -> Hashtbl.remove t.remote_ops op
+      | Some R_in_progress | None -> ()
     end
   done
 
@@ -698,12 +677,13 @@ let service_upcall t ~srv_key req k =
 
 (* Kernel -> VPE offer message, VPE-side processing, VPE -> kernel
    answer. The kernel thread suspends; the kernel PE itself stays free
-   to serve other work (cooperative multithreading, §4.2). *)
+   to serve other work (cooperative multithreading, §4.2). A refusal
+   overrides [answer]. *)
 let vpe_accept_roundtrip t (vpe : Vpe.t) answer k =
   Fabric.send t.fabric ~src:t.pe ~dst:vpe.Vpe.pe ~bytes:32 (fun () ->
       Engine.after t.engine (c t).Cost.vpe_accept (fun () ->
           Fabric.send t.fabric ~src:vpe.Vpe.pe ~dst:t.pe ~bytes:16 (fun () ->
-              k (if vpe.Vpe.accept_exchange then Ok answer else Error P.E_denied))))
+              k (if vpe.Vpe.accept_exchange then answer else Error P.E_denied))))
 
 (* ------------------------------------------------------------------ *)
 (* Inter-kernel transport with in-flight limiting (paper §4.1)         *)
@@ -715,6 +695,34 @@ let credit_state t peer =
     let s = (ref Cost.max_inflight, Queue.create ()) in
     Hashtbl.add t.credits peer s;
     s
+
+(* Revoke keys grouped into one message per destination kernel; with
+   [all_peers], every other kernel gets a message, keys or not (the
+   broadcast baseline). *)
+let group_by_dst ?(all_peers = false) t to_send =
+  Pool.with_ t.dstmap_pool (fun by_dst ->
+      if all_peers then
+        Hashtbl.iter (fun kid _ -> if kid <> t.id then Hashtbl.replace by_dst kid []) t.registry;
+      List.iter
+        (fun (dst, key) ->
+          let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
+          Hashtbl.replace by_dst dst (key :: keys))
+        to_send;
+      Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
+
+(* Requester handoff (batching mode): children owned by the kernel
+   that requested [op] ride back in its reply's [cont] field and get
+   absorbed into the requester's own wave — one message (the reply we
+   owe anyway) instead of a revoke request straight back plus its
+   reply. On a kernel-spanning chain this halves both the messages and
+   the round trips per link. Returns the rest of [to_send]. *)
+let hand_back t (op : revoke_op) to_send =
+  match op.origin with
+  | Ro_remote (req_k, _) when Cost.batching (c t) ->
+    let cont, rest = List.partition (fun (dst, _) -> dst = req_k) to_send in
+    op.cont_out <- List.rev_append (List.map snd cont) op.cont_out;
+    rest
+  | Ro_remote _ | Ro_syscall _ | Ro_exit _ -> to_send
 
 let rec transmit_ikc t ~dst (ikc : P.ikc) =
   match Hashtbl.find_opt t.registry dst with
@@ -841,18 +849,36 @@ and return_credit ?ack_op t ~src_kernel =
         ~bytes:(c t).Cost.credit_bytes
         (fun () ->
           receive_credit peer ~peer:t.id;
-          List.iter (fun op -> clear_retry peer op) acks))
+          List.iter (fun op -> acked peer op) acks))
+
+(* A notification's delivery ack: stop retransmitting it and complete
+   what its op waits for — a broadcast countdown or a record wave. A
+   redelivered copy is acked again; only the first ack finds its op
+   pending. *)
+and acked t op =
+  clear_retry t op;
+  match Hashtbl.find_opt t.pending_ops op with
+  | Some (P_bcast b) ->
+    Hashtbl.remove t.pending_ops op;
+    b.b_left <- b.b_left - 1;
+    if b.b_left = 0 then b.b_done ()
+  | Some (P_part_caps { pc_done }) ->
+    Hashtbl.remove t.pending_ops op;
+    pc_done ()
+  | Some (P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _) | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Reliability: timeout-driven retransmission + duplicate detection.
-   Op-tagged requests are retransmitted until their reply arrives (or
-   the attempt budget runs out); responders answer redeliveries from a
-   cache. Each retransmission refunds one credit first, on the
-   assumption the lost message's credit was leaked with it — so bounded
-   drops cannot wedge the in-flight window permanently. *)
+   Every reliable message is retransmitted until its one kind of ack
+   arrives (or the attempt budget runs out): a request's reply, or a
+   notification's delivery ack on the credit return. Responders answer
+   a redelivered request from a cache and ack a redelivered
+   notification again. Each retransmission refunds one credit first, on
+   the assumption the lost message's credit was leaked with it — so
+   bounded drops cannot wedge the in-flight window permanently. *)
 
-(* The reliable unicast: send [msg] now and retransmit it until the
-   reply (or delivery ack) for [op] clears it. *)
+(* The reliable send: send [msg] now and retransmit it until the reply
+   or delivery ack for [op] clears it. *)
 and send_retried t op ~dst msg =
   ikc_send t ~dst msg;
   register_retry t op ~dst msg
@@ -869,6 +895,22 @@ and send_revoke_req t rop ~dst keys =
 and send_unlink t ~dst ~parent_key ~child_key =
   let op = fresh_op t in
   send_retried t op ~dst (P.Ik_remove_child { op; parent_key; child_key })
+
+(* The broadcast: send [make op] to every peer in registry order, each
+   under its own op with [send_retried], and run [done_k] once every
+   peer has acked. *)
+and broadcast t make done_k =
+  let b = { b_left = 0; b_done = done_k } in
+  Hashtbl.iter
+    (fun kid _ ->
+      if kid <> t.id then begin
+        let op = fresh_op t in
+        b.b_left <- b.b_left + 1;
+        Hashtbl.add t.pending_ops op (P_bcast b);
+        send_retried t op ~dst:kid (make op)
+      end)
+    t.registry;
+  if b.b_left = 0 then done_k ()
 
 and register_retry t op ~dst msg =
   let st = { rdst = dst; rmsg = msg; rstart = Engine.clock t.engine; rattempts = 0; rtimer = None } in
@@ -913,10 +955,10 @@ and clear_retry t op =
 
 (* Retry budget exhausted for [op]: the peer is presumed unreachable.
    Requester-side operations answer the parked syscall with
-   [E_timeout]; a responder-side delegate handshake aborts its
-   uncommitted capability and releases the held thread; a revoke wave
-   releases its outstanding count so the operation can complete. Late
-   replies arriving after this hit the regular duplicate paths. *)
+   [E_timeout]; a revoke wave releases its outstanding count so the
+   operation can complete. A broadcast stays pending, so a late ack
+   still completes it. Late replies arriving after this hit the regular
+   duplicate paths. *)
 and fail_exhausted_op t op =
   match Hashtbl.find_opt t.pending_ops op with
   | None -> ()
@@ -926,14 +968,6 @@ and fail_exhausted_op t op =
   | Some (P_revoke_msg { rop }) ->
     Hashtbl.remove t.pending_ops op;
     revoke_release t rop
-  | Some (P_delegate_dst { child_key; src_kernel; recv_vpe = _ }) ->
-    (* The delegate ack never came: abort the half-open handshake. The
-       provisional capability was never inserted into the receiver's
-       capability space, so dropping its record suffices; best-effort
-       unlink at the source. *)
-    Hashtbl.remove t.pending_ops op;
-    Option.iter (drop_delegated t ~src_kernel) (Mapdb.find t.mapdb child_key);
-    Thread_pool.release t.threads
   | Some (P_part_caps { pc_done }) ->
     (* The destination never confirmed the install: the records are in
        limbo. Surface it loudly and release the caller — the audit layer
@@ -941,9 +975,7 @@ and fail_exhausted_op t op =
     Hashtbl.remove t.pending_ops op;
     Log.err (fun m -> m "kernel %d: part_records exhausted retries; records lost" t.id);
     pc_done ()
-  | Some (P_revoke _ | P_bcast _) ->
-    (* Not retried through [register_retry]; nothing to fail. *)
-    ()
+  | Some (P_revoke _ | P_delegate_dst _ | P_bcast _) -> ()
 
 (* Drop a delegated child that never entered its receiver's space, and
    unlink it at the source kernel [src_kernel]. *)
@@ -954,9 +986,10 @@ and drop_delegated t ~src_kernel (cap : Cap.t) =
     (fun parent_key -> send_unlink t ~dst:src_kernel ~parent_key ~child_key:cap.Cap.key)
     cap.Cap.parent
 
-(* Returns [true] when the request was seen before; credit is returned
-   either way, and a finished op re-sends its cached reply. *)
-and remote_dup t ~src_kernel ~op =
+(* Returns [true] when [request] (carrying [op]) was seen before;
+   credit is returned either way. A finished request re-sends its
+   cached reply, and a handled notification is acked again. *)
+and remote_dup t ~src_kernel ~op request =
   match Hashtbl.find_opt t.remote_ops op with
   | None ->
     Hashtbl.replace t.remote_ops op R_in_progress;
@@ -964,6 +997,10 @@ and remote_dup t ~src_kernel ~op =
   | Some R_in_progress ->
     Obs.Registry.incr t.ctr.dup_ikc;
     return_credit t ~src_kernel;
+    true
+  | Some R_acked ->
+    Obs.Registry.incr t.ctr.dup_ikc;
+    return_credit t ~ack_op:op ~src_kernel;
     true
   | Some (R_done { dst; msg }) ->
     Obs.Registry.incr t.ctr.dup_ikc;
@@ -978,15 +1015,22 @@ and remote_dup t ~src_kernel ~op =
        the refund stands down and the credit flow stays exactly the
        paper's. *)
     if Fabric.has_injector t.fabric then receive_credit t ~peer:dst;
-    ikc_send t ~dst msg;
+    ikc_send t ~dst (cached_reply t ~request msg);
     true
 
 (* Send the final reply for an op-tagged request and cache it for
    redeliveries. *)
 and finish_remote t ~op ~dst msg =
   Hashtbl.replace t.remote_ops op (R_done { dst; msg });
-  Queue.push (Engine.clock t.engine + t.retention, Ev_remote op) t.evictions;
+  Queue.push (Engine.clock t.engine + t.retention, op) t.evictions;
   ikc_send t ~dst msg
+
+(* Ack a deduplicated notification on its credit return, and remember
+   it so a redelivery is acked again instead of handled twice. *)
+and ack_notification t ~src_kernel ~op =
+  Hashtbl.replace t.remote_ops op R_acked;
+  Queue.push (Engine.clock t.engine + t.retention, op) t.evictions;
+  return_credit t ~ack_op:op ~src_kernel
 
 (* ------------------------------------------------------------------ *)
 (* Capability lookup helpers                                           *)
@@ -1213,23 +1257,8 @@ and absorb_continuation t (op : revoke_op) keys =
       let visited = List.length op.marked - before in
       (* The handoff continues transitively: children owned by our own
          requester ride our eventual reply's [cont] in turn. *)
-      let to_send =
-        match op.origin with
-        | Ro_remote (req_k, _) when Cost.batching (c t) ->
-          let cont, rest = List.partition (fun (dst, _) -> dst = req_k) !to_send in
-          op.cont_out <- List.rev_append (List.map snd cont) op.cont_out;
-          rest
-        | _ -> !to_send
-      in
-      let messages =
-        Pool.with_ t.dstmap_pool (fun by_dst ->
-            List.iter
-              (fun (dst, key) ->
-                let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
-                Hashtbl.replace by_dst dst (key :: keys))
-              to_send;
-            Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
-      in
+      let to_send = hand_back t op !to_send in
+      let messages = group_by_dst t to_send in
       op.outstanding <- op.outstanding + List.length messages;
       let cost =
         Int64.add
@@ -1288,21 +1317,7 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
                   | exception Membership.Mid_handoff _ ->
                     defer_revoke_child t op ~root_unlink:root child_key))
         roots;
-      (* Requester handoff (batching mode): children owned by the
-         kernel that requested this revoke ride back in the reply's
-         [cont] field and get absorbed into the requester's own wave —
-         one message (the reply we owe anyway) instead of a revoke
-         request straight back plus its reply. On a kernel-spanning
-         chain this halves both the messages and the round trips per
-         link. *)
-      let to_send =
-        match op.origin with
-        | Ro_remote (req_k, _) when Cost.batching (c t) ->
-          let cont, rest = List.partition (fun (dst, _) -> dst = req_k) !to_send in
-          op.cont_out <- List.rev_append (List.map snd cont) op.cont_out;
-          rest
-        | _ -> !to_send
-      in
+      let to_send = hand_back t op !to_send in
       (* One revoke request per remote child — or, with batching
          enabled (the paper's §5.2 improvement), one per destination
          kernel carrying all its children. The Barrelfish-style
@@ -1312,25 +1327,8 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
         match op.origin with Ro_syscall _ | Ro_exit _ -> true | Ro_remote _ -> false
       in
       let messages =
-        if Cost.broadcast (c t) && initiator then
-          Pool.with_ t.dstmap_pool (fun by_dst ->
-              Hashtbl.iter
-                (fun kid _ -> if kid <> t.id then Hashtbl.replace by_dst kid [])
-                t.registry;
-              List.iter
-                (fun (dst, key) ->
-                  let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst (key :: keys))
-                to_send;
-              Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
-        else if Cost.batching (c t) then
-          Pool.with_ t.dstmap_pool (fun by_dst ->
-              List.iter
-                (fun (dst, key) ->
-                  let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst (key :: keys))
-                to_send;
-              Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
+        if Cost.broadcast (c t) && initiator then group_by_dst ~all_peers:true t to_send
+        else if Cost.batching (c t) then group_by_dst t to_send
         else List.rev_map (fun (dst, key) -> (dst, [ key ])) to_send
       in
       op.outstanding <- op.outstanding + List.length messages;
@@ -1354,23 +1352,32 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
 (* Exchange (§4.3.2): one party step per direction, called by the
    group-local path and by the inter-kernel responder alike            *)
 
-(* Ask the donor of an obtain. A VPE donor accepts through the round
-   trip; a service grants a child through [Srq_obtain], or opens a
-   session through [Srq_open_session]. *)
+(* Ask the donor of an obtain. A VPE donor's selector is resolved as it
+   is asked, before the accept round trip, so a capability that takes
+   the selector over meanwhile is never handed over; both callers ask
+   in the job that decoded the request. A service grants a child
+   through [Srq_obtain], or opens a session through
+   [Srq_open_session]. *)
 and ask_donor t ~client_vpe (donor : P.donor) k =
   match donor with
   | P.Direct { donor_vpe; donor_sel } -> (
     match t.env.locate_vpe donor_vpe with
     | None -> k (Error P.E_no_such_vpe)
-    | Some d -> vpe_accept_roundtrip t d (Held (d, donor_sel)) k)
+    | Some d -> vpe_accept_roundtrip t d (Ok (donor_grant t d donor_sel)) k)
   | P.Via_session { srv_key; ident; args } ->
     service_upcall t ~srv_key (P.Srq_obtain { ident; args }) (function
-      | P.Srs_grant { parent; kind } -> k (Ok (Named (parent, kind)))
+      | P.Srs_grant { parent; kind } -> k (Ok (Ok (parent, kind)))
       | (P.Srs_session _ | P.Srs_accept | P.Srs_reject _) as r -> k (Error (refusal r)))
   | P.Open_session { srv_key } ->
     service_upcall t ~srv_key (P.Srq_open_session { client_vpe }) (function
-      | P.Srs_session { ident } -> k (Ok (Named (srv_key, Cap.Sess_cap { srv = srv_key; ident })))
+      | P.Srs_session { ident } -> k (Ok (Ok (srv_key, Cap.Sess_cap { srv = srv_key; ident })))
       | (P.Srs_grant _ | P.Srs_accept | P.Srs_reject _) as r -> k (Error (refusal r)))
+
+(* The capability a VPE donor's selector names now. *)
+and donor_grant t (donor : Vpe.t) sel : grant =
+  Result.map
+    (fun (cap : Cap.t) -> (cap.Cap.key, cap.Cap.kind))
+    (Result.bind (resolve_sel t donor sel) exchangeable)
 
 (* Ask the receiver of a delegate: a VPE accepts through the round
    trip, a service through [Srq_delegate]. The answer is the VPE that
@@ -1380,7 +1387,7 @@ and ask_receiver t ~kind (recv : P.recv_ref) k =
   | P.Recv_vpe vid -> (
     match t.env.locate_vpe vid with
     | None -> k (Error P.E_no_such_vpe)
-    | Some v -> vpe_accept_roundtrip t v v k)
+    | Some v -> vpe_accept_roundtrip t v (Ok v) k)
   | P.Recv_service { srv_key; ident; args } ->
     service_upcall t ~srv_key (P.Srq_delegate { ident; args; kind }) (function
       | P.Srs_accept ->
@@ -1393,9 +1400,12 @@ and ask_receiver t ~kind (recv : P.recv_ref) k =
    is not being revoked. *)
 and live_parent t key = match Mapdb.find t.mapdb key with None -> Error P.E_no_such_cap | Some p -> exchangeable p
 
-and granted_parent t = function
-  | Named (key, _) -> live_parent t key
-  | Held (donor, sel) -> Result.bind (resolve_sel t donor sel) exchangeable
+(* The parent a grant names, checked at link time, with the child's
+   kind. *)
+and granted_parent t : grant -> _ = function
+  | Ok (key, kind) -> (
+    match live_parent t key with Ok parent -> Ok (parent, kind) | Error e -> Error e)
+  | Error e -> Error e
 
 (* A VPE this kernel hosts and that is alive: what the responder checks
    before asking a VPE party. *)
@@ -1416,8 +1426,7 @@ and link_local t ex ~(client : Vpe.t) answer =
         match answer with
         | Ok ((owner : Vpe.t), grant) when Vpe.is_alive owner -> (
           match granted_parent t grant with
-          | Ok parent ->
-            let kind = granted_kind parent grant in
+          | Ok (parent, kind) ->
             let key = child_key ~pe:owner.Vpe.pe ~vpe:owner.Vpe.id kind (Mapdb.fresh_obj t.mapdb) in
             let sel = create_linked_cap t ~owner ~kind ~parent:(Some parent) ~key in
             if ex <> Open then Obs.Registry.incr t.ctr.exchanges_local;
@@ -1469,7 +1478,7 @@ and start_delegate t ~(client : Vpe.t) ~(src : Cap.t) ~dst ~cost recv =
       fun () ->
         ask_receiver t ~kind:src.Cap.kind recv (fun answer ->
             link_local t Delegate ~client
-              (Result.map (fun r -> (r, Named (src.Cap.key, src.Cap.kind))) answer)) )
+              (Result.map (fun r -> (r, Ok (src.Cap.key, src.Cap.kind))) answer)) )
   else begin
     let op = fresh_op t in
     Hashtbl.add t.pending_ops op (P_delegate_src { client; src_key = src.Cap.key; dst_kernel = dst });
@@ -1527,17 +1536,8 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
             Hashtbl.replace t.directory name key;
               ( Int64.add dispatch (c t).Cost.create_obj,
               fun () ->
-                (* Announce to every other kernel (IKC group 1/2),
-                   op-tagged per peer and retried until the delivery
-                   ack (piggybacked on the credit return) comes back. *)
-                Hashtbl.iter
-                  (fun kid _ ->
-                    if kid <> t.id then begin
-                      let op = fresh_op t in
-                      send_retried t op ~dst:kid
-                        (P.Ik_srv_announce { op; name; srv_key = key; kernel = t.id })
-                    end)
-                  t.registry;
+                (* Announce to every other kernel (IKC group 1/2). *)
+                broadcast t (fun op -> P.Ik_srv_announce { op; name; srv_key = key; kernel = t.id }) ignore;
                 finish_syscall t vpe (P.R_sel sel) )
           end)
   | P.Sys_create_rgate { ep; slots } ->
@@ -1743,7 +1743,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
   trace_event t ~kind:"ikc_recv" ~op:(ikc_op ikc) ~src:src_kernel ~dst:t.id (P.ikc_name ikc);
   match ikc with
   | P.Ik_obtain_req { op; src_kernel = origin; obj_reserved; client_pe; client_vpe; donor } ->
-    exchange_request t ~src_kernel ~op (obtain_kind donor) (fun () ->
+    exchange_request t ~src_kernel ~op (obtain_kind donor) ikc (fun () ->
         handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor)
   | P.Ik_obtain_reply { op; result } ->
     let ex =
@@ -1753,15 +1753,18 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
     in
     exchange_reply t ~src_kernel (charges t ex).reply (fun () -> handle_obtain_reply t ~op ~result)
   | P.Ik_delegate_req { op; src_kernel = origin; parent_key; kind; recv } ->
-    exchange_request t ~src_kernel ~op Delegate (fun () ->
+    exchange_request t ~src_kernel ~op Delegate ikc (fun () ->
         handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv)
   | P.Ik_delegate_reply { op; result } ->
     exchange_reply t ~src_kernel (charges t Delegate).reply (fun () -> handle_delegate_reply t ~op ~result)
   | P.Ik_delegate_ack { op; child_key; commit } ->
-    exchange_reply t ~src_kernel (Cost.ddl (c t) 1) (fun () ->
-        handle_delegate_ack t ~op ~child_key ~commit)
+    job t (fun () ->
+        ( Cost.ddl (c t) 1,
+          fun () ->
+            return_credit t ~ack_op:op ~src_kernel;
+            handle_delegate_ack t ~op ~child_key ~commit ))
   | P.Ik_revoke_req { op; src_kernel = origin; keys } ->
-    if not (remote_dup t ~src_kernel ~op) then begin
+    if not (remote_dup t ~src_kernel ~op ikc) then begin
       (* Handled without pausing a thread (Algorithm 1). The credit
          returns at once; the marking job carries the real cost. *)
       return_credit t ~src_kernel;
@@ -1798,69 +1801,32 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
     job t (fun () ->
         ( Cost.ddl (c t) 2,
           fun () ->
-            (* Idempotent notification: a redelivery re-runs the unlink
-               (a no-op on an already-pruned parent), and the delivery
-               ack piggybacks on the credit return to stop the sender's
-               retransmission timer. *)
+            (* Idempotent: a redelivery re-runs the unlink, a no-op on
+               an already-pruned parent. *)
             return_credit t ~ack_op:op ~src_kernel;
             Mapdb.remove_child t.mapdb ~parent:parent_key child_key ))
-  | P.Ik_migrate_ack { op } ->
-    job t (fun () ->
-        ( 100L,
-          fun () ->
-            return_credit t ~src_kernel;
-            (match Hashtbl.find_opt t.pending_ops op with
-            | Some (P_bcast b) ->
-              (* Acks are deduplicated by sender: a redelivered ack from
-                 an already-counted peer must not skip a pending one. *)
-              if Hashtbl.mem b.b_peers src_kernel then begin
-                Hashtbl.remove b.b_peers src_kernel;
-                if Hashtbl.length b.b_peers = 0 then begin
-                  Hashtbl.remove t.pending_ops op;
-                  Option.iter (Engine.cancel t.engine) b.b_timer;
-                  b.b_timer <- None;
-                  b.b_done ()
-                end
-              end
-              else Obs.Registry.incr t.ctr.dup_ikc
-            | Some (P_part_caps { pc_done }) ->
-              (* The destination installed the partition wave. *)
-              Hashtbl.remove t.pending_ops op;
-              clear_retry t op;
-              pc_done ()
-            | Some
-                (P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _)
-            | None ->
-              (* Redelivered ack after the broadcast or wave completed. *)
-              Obs.Registry.incr t.ctr.dup_ikc) ))
   | P.Ik_srv_announce { op; name; srv_key; kernel = _ } ->
     job t (fun () ->
         ( 100L,
           fun () ->
-            (* Idempotent directory write; the ack rides the credit
-               return so the announcing kernel stops retransmitting.
-               Before this the announce was fire-and-forget: one drop
-               and every session open routed here failed forever. *)
+            (* Idempotent directory write. *)
             return_credit t ~ack_op:op ~src_kernel;
             Hashtbl.replace t.directory name srv_key ))
-  | P.Ik_fleet_state { op; src_kernel = origin; kernel; state } ->
-    if remote_dup t ~src_kernel ~op then ()
+  | P.Ik_fleet_state { op; src_kernel = _; kernel; state } ->
+    if remote_dup t ~src_kernel ~op ikc then ()
     else
       job t (fun () ->
           ( 100L,
             fun () ->
-              return_credit t ~src_kernel;
-              (* Idempotent replica write: redeliveries re-record the same
-                 state. *)
-              Membership.set_kernel_state t.membership ~kernel state;
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
-  | P.Ik_part_update { op; src_kernel = origin; pes; new_kernel } ->
-    if remote_dup t ~src_kernel ~op then ()
+              ack_notification t ~src_kernel ~op;
+              Membership.set_kernel_state t.membership ~kernel state ))
+  | P.Ik_part_update { op; src_kernel = _; pes; new_kernel } ->
+    if remote_dup t ~src_kernel ~op ikc then ()
     else
       job t (fun () ->
           ( Int64.mul (Int64.of_int (max 1 (List.length pes))) 200L,
             fun () ->
-              return_credit t ~src_kernel;
+              ack_notification t ~src_kernel ~op;
               (if new_kernel = t.id then
                  (* Destination of the handoff: mark every PE mid-handoff
                     instead of reassigning — lookups must not route here
@@ -1886,17 +1852,16 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                    (fun pe -> Membership.complete_handoff t.membership ~pe ~kernel:new_kernel)
                    marked;
                  Membership.reassign_partition t.membership ~pes:unmarked ~kernel:new_kernel
-               end);
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
-  | P.Ik_part_records { op; src_kernel = origin; pes; vpes = vids; records } ->
-    if remote_dup t ~src_kernel ~op then ()
+               end) ))
+  | P.Ik_part_records { op; src_kernel = _; pes; vpes = vids; records } ->
+    if remote_dup t ~src_kernel ~op ikc then ()
     else
       job t (fun () ->
           (* Installing the wave costs time proportional to the records
              carried. *)
           ( Int64.mul (Int64.of_int (max 1 (List.length records))) 150L,
             fun () ->
-              return_credit t ~src_kernel;
+              ack_notification t ~src_kernel ~op;
               List.iter
                 (fun (r : P.migrated_cap) ->
                   let cap =
@@ -1929,8 +1894,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                   else if
                     try Membership.kernel_of_pe t.membership pe <> t.id with Not_found -> true
                   then Membership.reassign t.membership ~pe ~kernel:t.id)
-                pes;
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
+                pes ))
   | P.Ik_batch { src_kernel = _; msgs } ->
     (* The frame consumed ONE sender credit, yet each inner delivery
        returns one: record the surplus so [return_credit] absorbs all
@@ -1949,8 +1913,8 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
 
 (* A spanning exchange request, unless redelivered: served on a kernel
    thread that stays held until the exchange is decided. *)
-and exchange_request t ~src_kernel ~op ex serve =
-  if not (remote_dup t ~src_kernel ~op) then
+and exchange_request t ~src_kernel ~op ex request serve =
+  if not (remote_dup t ~src_kernel ~op request) then
     Thread_pool.acquire t.threads (fun () ->
         job t (fun () ->
             ( (charges t ex).serve,
@@ -1958,7 +1922,7 @@ and exchange_request t ~src_kernel ~op ex serve =
                 return_credit t ~src_kernel;
                 serve () )))
 
-(* A reply or ack of a spanning exchange, handled after a [cost] job. *)
+(* A reply of a spanning exchange, handled after a [cost] job. *)
 and exchange_reply t ~src_kernel cost handle =
   job t (fun () ->
       ( cost,
@@ -1974,32 +1938,27 @@ and handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor 
     Thread_pool.release t.threads;
     finish_remote t ~op ~dst:origin (P.Ik_obtain_reply { op; result })
   in
-  (* A VPE donor gives the capability checked here: its selector may
-     name another one by the time the donor has accepted. *)
   let hosted =
     match donor with
     | P.Direct { donor_vpe; donor_sel } ->
-      Result.bind (hosted_vpe t donor_vpe) (fun d -> Result.bind (resolve_sel t d donor_sel) exchangeable)
-      |> Result.map (fun (cap : Cap.t) -> Some (Named (cap.Cap.key, cap.Cap.kind)))
+      Result.bind (hosted_vpe t donor_vpe) (fun d -> Result.map ignore (donor_grant t d donor_sel))
     | P.Open_session { srv_key } -> (
       match live_parent t srv_key with
-      | Ok _ -> Ok None
+      | Ok _ -> Ok ()
       | Error e -> Error (if e = P.E_no_such_cap then P.E_no_such_service else e))
-    | P.Via_session _ -> Ok None
+    | P.Via_session _ -> Ok ()
   in
   match hosted with
   | Error e -> reply (refused ex e)
-  | Ok pinned ->
+  | Ok () ->
     ask_donor t ~client_vpe donor (function
       | Error e -> reply (refused ex e)
       | Ok grant ->
-        let grant = Option.value pinned ~default:grant in
         job t (fun () ->
             let ch = charges t ex in
             match granted_parent t grant with
             | Error e -> (ch.remote_fail, fun () -> reply (refused ex e))
-            | Ok parent ->
-              let kind = granted_kind parent grant in
+            | Ok (parent, kind) ->
               let child_key = child_key ~pe:client_pe ~vpe:client_vpe kind obj_reserved in
               Mapdb.add_child t.mapdb ~parent:parent.Cap.key child_key;
               let answer =
@@ -2010,6 +1969,29 @@ and handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor 
                   P.Linked { kind; parent = parent.Cap.key }
               in
               (ch.remote_link, fun () -> reply answer)))
+
+(* The cached [reply] to a redelivered [request], as it is resent. An
+   obtain reply is resent only while the child it reports is still
+   linked at this kernel: the parent exists, is unmarked and lists the
+   child. Otherwise the resend would follow the revoke or unlink that
+   passed the child on the same FIFO channel, and the client's kernel
+   would insert an orphan. *)
+and cached_reply t ~(request : P.ikc) (reply : P.ikc) =
+  match (request, reply) with
+  | P.Ik_obtain_req { client_pe; client_vpe; obj_reserved; donor; _ }, P.Ik_obtain_reply { op; result }
+    -> (
+    let still_linked kind parent =
+      Result.is_ok (live_parent t parent)
+      && Mapdb.has_child t.mapdb ~parent (child_key ~pe:client_pe ~vpe:client_vpe kind obj_reserved)
+    in
+    match (result, donor) with
+    | P.Linked { kind; parent }, _ when not (still_linked kind parent) ->
+      P.Ik_obtain_reply { op; result = refused Obtain P.E_in_revocation }
+    | P.Session { ident }, P.Open_session { srv_key }
+      when not (still_linked (Cap.Sess_cap { srv = srv_key; ident }) srv_key) ->
+      P.Ik_obtain_reply { op; result = refused Open P.E_in_revocation }
+    | (P.Linked _ | P.Session _ | P.Refused _), _ -> reply)
+  | _ -> reply
 
 and handle_obtain_reply t ~op ~result =
   match Hashtbl.find_opt t.pending_ops op with
@@ -2047,12 +2029,13 @@ and obtained t (client : Vpe.t) ~obj_reserved ex kind parent_key =
 
 (* The receiver's kernel serves a spanning delegate: check what it
    hosts, ask the receiver, and create the child, which enters the
-   receiver's space only on the source's commit ack. *)
+   receiver's space only on the source's commit ack. A committed reply
+   holds the thread until that ack (the two-way handshake, the paper's
+   fix for the "Invalid" anomaly). The reply needs no timer of its
+   own: a lost reply is resent from the cache when the source
+   retransmits its request, and the source retransmits its ack until
+   it is delivered. *)
 and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
-  (* A committed reply holds the thread until the ack (the two-way
-     handshake, the paper's fix for the "Invalid" anomaly) and is
-     retransmitted until the ack arrives, covering a lost ack (the
-     source re-sends its cached ack on a duplicate reply). *)
   let refuse e =
     Thread_pool.release t.threads;
     finish_remote t ~op ~dst:origin (P.Ik_delegate_reply { op; result = Error e })
@@ -2075,8 +2058,8 @@ and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
               Hashtbl.add t.pending_ops op
                 (P_delegate_dst { child_key; recv_vpe = recv_v.Vpe.id; src_kernel = origin });
               Obs.Registry.incr t.ctr.exchanges_spanning;
-              let msg = P.Ik_delegate_reply { op; result = Ok child_key } in
-              (ch.remote_link, fun () -> register_retry t op ~dst:origin msg; finish_remote t ~op ~dst:origin msg)
+              ( ch.remote_link,
+                fun () -> finish_remote t ~op ~dst:origin (P.Ik_delegate_reply { op; result = Ok child_key }) )
             end))
 
 and handle_delegate_reply t ~op ~result =
@@ -2085,12 +2068,7 @@ and handle_delegate_reply t ~op ~result =
     Hashtbl.remove t.pending_ops op;
     clear_retry t op;
     let send_ack commit child_key =
-      let ack = P.Ik_delegate_ack { op; child_key; commit } in
-      (* Cache the ack: a redelivered reply means the destination is
-         still waiting, so the ack may have been lost and is re-sent. *)
-      Hashtbl.replace t.completed_acks op (dst_kernel, ack);
-      Queue.push (Engine.clock t.engine + t.retention, Ev_ack op) t.evictions;
-      ikc_send t ~dst:dst_kernel ack
+      send_retried t op ~dst:dst_kernel (P.Ik_delegate_ack { op; child_key; commit })
     in
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
@@ -2107,24 +2085,16 @@ and handle_delegate_reply t ~op ~result =
         send_ack false child_key;
         finish_syscall t client (P.R_err P.E_in_revocation)))
   | Some (P_obtain _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _ | P_bcast _ | P_part_caps _)
-  | None -> (
-    (* Redelivered reply after the handshake completed here: re-send
-       the cached ack in case the original ack was lost. *)
-    match Hashtbl.find_opt t.completed_acks op with
-    | Some (dst, ack) ->
-      Obs.Registry.incr t.ctr.dup_ikc;
-      receive_credit t ~peer:dst;
-      ikc_send t ~dst ack
-    | None ->
-      Obs.Registry.incr t.ctr.dup_ikc;
-      Log.debug (fun m -> m "kernel %d: duplicate delegate reply for op %d" t.id op))
+  | None ->
+    (* Redelivered reply: the handshake already went on here, and its
+       ack is retransmitted until delivered. *)
+    Obs.Registry.incr t.ctr.dup_ikc;
+    Log.debug (fun m -> m "kernel %d: duplicate delegate reply for op %d" t.id op)
 
 and handle_delegate_ack t ~op ~child_key ~commit =
   match Hashtbl.find_opt t.pending_ops op with
   | Some (P_delegate_dst { child_key = ck; recv_vpe; src_kernel }) -> (
     Hashtbl.remove t.pending_ops op;
-    (* Stop retransmitting the reply; the handshake is over. *)
-    clear_retry t op;
     assert (Key.equal ck child_key);
     (match Mapdb.find t.mapdb child_key with
     | None -> () (* revoked in the meantime; nothing to do *)
@@ -2143,27 +2113,33 @@ and handle_delegate_ack t ~op ~child_key ~commit =
     Thread_pool.release t.threads)
   | Some (P_obtain _ | P_delegate_src _ | P_revoke _ | P_revoke_msg _ | P_bcast _ | P_part_caps _)
   | None ->
-    (* Redelivered ack: the handshake already completed and its thread
-       was already released — releasing again would corrupt the pool. *)
+    (* Redelivered ack, acked again on its credit return: the handshake
+       already completed and its thread was already released —
+       releasing again would corrupt the pool. *)
     Obs.Registry.incr t.ctr.dup_ikc
 
 (* Phase 2 of a bulk partition handoff: extract every record of the
    moving partitions, detach their VPEs, and ship the whole set to the
-   destination as one framed record wave. *)
+   destination as one framed record wave. A record marked by a revoke
+   request that arrived since phase 1 began stays here: the wave does
+   not carry marks, and the revoke that marked it deletes it here. *)
 and part_transfer t ~pes ~(vpes : Vpe.t list) ~dst ~done_k =
   job t (fun () ->
       let records =
         List.concat_map
           (fun pe ->
-            List.map
+            List.filter_map
               (fun (cap : Cap.t) ->
-                {
-                  P.m_key = cap.Cap.key;
-                  m_kind = cap.Cap.kind;
-                  m_owner = cap.Cap.owner_vpe;
-                  m_parent = cap.Cap.parent;
-                  m_children = Mapdb.children t.mapdb cap.Cap.key;
-                })
+                if Cap.is_marked cap then None
+                else
+                  Some
+                    {
+                      P.m_key = cap.Cap.key;
+                      m_kind = cap.Cap.kind;
+                      m_owner = cap.Cap.owner_vpe;
+                      m_parent = cap.Cap.parent;
+                      m_children = Mapdb.children t.mapdb cap.Cap.key;
+                    })
               (Mapdb.caps_of_pe t.mapdb ~pe))
           pes
       in
@@ -2234,60 +2210,12 @@ let install_new_cap t ~owner ~kind ?parent () =
   let sel = install_cap t cap in
   (sel, key)
 
-(* The acked broadcast: send [make op] to every peer and run [done_k]
-   once each has acked with [Ik_migrate_ack]. The send job charges
-   [per_peer] cycles per peer. Peers that have not acked are resent the
-   message on a backoff tick — messages are idempotent and acks dedup
-   by sender — in kernel-id order, so table iteration order never leaks
-   into the message schedule. The tick is a cancellable timer,
-   cancelled when the last ack lands, so a fault-free broadcast leaves
-   nothing queued. An exhausted budget is counted and traced per
-   unacked peer; the operation stays pending, so a late ack still
-   completes it. *)
+(* A broadcast sent from a job that charges [per_peer] cycles per
+   peer. *)
 let acked_broadcast t ~per_peer make done_k =
-  let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
-  match peers with
-  | [] -> done_k ()
-  | peers ->
-    let op = fresh_op t in
-    let b_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace b_peers kid ()) peers;
-    let bop = { b_peers; b_done = done_k; b_timer = None } in
-    Hashtbl.add t.pending_ops op (P_bcast bop);
-    let msg = make op in
-    let rec tick attempts () =
-      match Hashtbl.find_opt t.pending_ops op with
-      | Some (P_bcast b) ->
-        let unacked = List.sort compare (Hashtbl.fold (fun kid () acc -> kid :: acc) b.b_peers []) in
-        if attempts < (c t).Cost.retry_max then begin
-          List.iter
-            (fun kid ->
-              Obs.Registry.incr t.ctr.retries;
-              receive_credit t ~peer:kid;
-              ikc_send t ~dst:kid msg)
-            unacked;
-          b.b_timer <-
-            Some
-              (Engine.after_cancellable t.engine
-                 (retry_interval t (attempts + 1))
-                 (tick (attempts + 1)))
-        end
-        else begin
-          b.b_timer <- None;
-          Obs.Registry.incr t.ctr.retry_exhausted;
-          List.iter
-            (fun kid -> trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:kid (P.ikc_name msg))
-            unacked
-        end
-      | Some _ | None -> ()
-    in
-    job t (fun () ->
-        ( Int64.mul (Int64.of_int (List.length peers)) per_peer,
-          fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid msg) peers;
-            if (c t).Cost.retry_max > 0 then
-              bop.b_timer <-
-                Some (Engine.after_cancellable t.engine (retry_interval t 0) (tick 0)) ))
+  match Hashtbl.length t.registry - 1 with
+  | 0 -> done_k ()
+  | peers -> job t (fun () -> (Int64.mul (Int64.of_int peers) per_peer, fun () -> broadcast t make done_k))
 
 (* Reliable fleet-state broadcast: record the transition on our own
    replica, tell every peer, and run [done_k] once all have acked. *)

@@ -106,10 +106,11 @@ val obs : t -> Semper_obs.Obs.Registry.t
 (** The trace ring this kernel records into. *)
 val trace_buffer : t -> Semper_obs.Obs.Trace.t
 
-(** Current sizes of the two bounded idempotency caches,
-    [(remote ops, completed acks)]. Entries are evicted lazily once the
-    retry window has safely elapsed; exposed for regression tests. *)
-val idempotency_cache_sizes : t -> int * int
+(** Current size of the bounded idempotency cache of handled remote
+    ops (cached replies and acked notifications). Entries are evicted
+    lazily once the retry window has safely elapsed; exposed for
+    regression tests. *)
+val idempotency_cache_sizes : t -> int
 
 (** Per-peer send-credit windows as [(peer kernel, credits)], sorted by
     peer id. The fuzz credit oracle asserts every window stays within
@@ -163,7 +164,7 @@ val install_new_cap :
     [handoff_partitions t ~pes:[vpe.pe] ~vpes:[vpe] ~dst done_k] —
     freeze the VPE, broadcast an [Ik_part_update] to every kernel, then
     ship its capability records to [dst] as one [Ik_part_records] wave
-    (retransmitted until the destination acks the install). Raises
+    (retransmitted until its delivery is acked). Raises
     [Invalid_argument] if [dst] is this kernel, unknown or not
     [Active], or the VPE is dead (plus {!handoff_partitions}'s gates).
     The system must be quiescent with respect to this VPE (no in-flight
@@ -174,12 +175,13 @@ val install_new_cap :
 val migrate_vpe : t -> vpe:Vpe.t -> dst:int -> (unit -> unit) -> unit
 
 (** Reliable fleet lifecycle broadcast: record [state] for [kernel] on
-    this kernel's replica, announce it to every peer with an op-tagged
-    [Ik_fleet_state] (retransmitted until each peer acks), and run the
-    continuation once all acks are in. If the retry budget runs out
-    first, the kernel counts it in [retry_exhausted], traces one
-    [ikc_timeout] per unacked peer, and leaves the broadcast pending: a
-    late ack still runs the continuation. *)
+    this kernel's replica, send every peer its own [Ik_fleet_state]
+    under its own op (retransmitted to that peer alone until the
+    delivery is acked on the credit return), and run the continuation
+    once every peer has acked. A peer whose retry budget runs out is
+    counted in [retry_exhausted] and traced as one [ikc_timeout]; the
+    broadcast stays pending, so a late ack still runs the
+    continuation. *)
 val announce_state :
   t -> kernel:int -> Semper_ddl.Membership.kernel_state -> (unit -> unit) -> unit
 
@@ -189,9 +191,13 @@ val announce_state :
     exchange. Phase 1 freezes the listed VPEs, marks every PE
     mid-handoff here, and broadcasts an [Ik_part_update] (the
     destination marks mid-handoff, bystanders flip atomically via
-    [Membership.reassign_partition]); once every peer has acked, phase
-    2 ships all records and VPEs as one framed [Ik_part_records] wave,
-    retransmitted until the destination acks the install. In-flight
+    [Membership.reassign_partition]), one op per peer, each acked on
+    its credit return like {!announce_state}'s; once every peer has
+    acked, phase 2 ships all records and VPEs as one framed
+    [Ik_part_records] wave, retransmitted until its delivery to the
+    destination is acked on the credit return, which is when [done_k]
+    runs. A record marked by a revoke that reached this kernel since
+    phase 1 began stays here, where that revoke deletes it. In-flight
     resolves against the moving partitions hit [Mid_handoff] deferral
     throughout — never a stale owner. Raises [Invalid_argument] if the
     destination is not [Active]/[Joining], a listed VPE is mid-syscall

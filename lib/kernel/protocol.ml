@@ -124,7 +124,6 @@ type ikc =
          wave instead of receiving a separate Ik_revoke_req per child
          (batching mode; empty otherwise). *)
   | Ik_remove_child of { op : int; parent_key : Key.t; child_key : Key.t }
-  | Ik_migrate_ack of { op : int }
   | Ik_srv_announce of { op : int; name : string; srv_key : Key.t; kernel : int }
   | Ik_fleet_state of {
       op : int;
@@ -133,7 +132,7 @@ type ikc =
       state : Semper_ddl.Membership.kernel_state;
     }
       (* Kernel lifecycle transition (join/drain/retire), broadcast to
-         every peer and acked with Ik_migrate_ack. *)
+         every peer. *)
   | Ik_part_update of { op : int; src_kernel : int; pes : int list; new_kernel : int }
       (* Bulk membership flip for a whole partition set: the new owner
          marks every PE mid-handoff, other replicas reassign the set
@@ -162,7 +161,6 @@ let ikc_name = function
   | Ik_revoke_req _ -> "revoke_req"
   | Ik_revoke_reply _ -> "revoke_reply"
   | Ik_remove_child _ -> "remove_child"
-  | Ik_migrate_ack _ -> "migrate_ack"
   | Ik_srv_announce _ -> "srv_announce"
   | Ik_fleet_state _ -> "fleet_state"
   | Ik_part_update _ -> "part_update"

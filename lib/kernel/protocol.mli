@@ -111,7 +111,17 @@ type migrated_cap = {
 }
 
 (** Inter-kernel calls. [op] identifies the originating operation at the
-    source kernel; replies echo it. *)
+    source kernel; replies echo it.
+
+    Every reliable message is sent with the kernel's one retried send
+    and has exactly one kind of acknowledgement:
+    - a {e request} ([Ik_obtain_req], [Ik_delegate_req],
+      [Ik_revoke_req]) is acked by its reply, which the responder
+      resends from its reply cache when the request is redelivered;
+    - a {e notification} ([Ik_delegate_ack], [Ik_remove_child],
+      [Ik_srv_announce], [Ik_fleet_state], [Ik_part_update],
+      [Ik_part_records]) is acked on the credit return of its
+      delivery, and a redelivered copy is acked again. *)
 type ikc =
   | Ik_obtain_req of {
       op : int;
@@ -131,6 +141,10 @@ type ikc =
     }
   | Ik_delegate_reply of { op : int; result : (Key.t, error) result }  (** child key *)
   | Ik_delegate_ack of { op : int; child_key : Key.t; commit : bool }
+      (** notification closing the delegate handshake under the
+          request's [op]: the receiver's kernel inserts ([commit]) or
+          drops the child and releases the thread it held since the
+          request *)
   | Ik_revoke_req of { op : int; src_kernel : int; keys : Key.t list }
   | Ik_revoke_reply of { op : int; keys : Key.t list; cont : Key.t list }
       (** [cont]: marked-subtree roots the responder discovered on the
@@ -138,16 +152,11 @@ type ikc =
           revoke wave instead of receiving a separate {!Ik_revoke_req}
           per child (batching mode; empty otherwise) *)
   | Ik_remove_child of { op : int; parent_key : Key.t; child_key : Key.t }
-      (** unlink notification: orphan cleanup or root-revoke unlink;
-          op-tagged and retried until the receiver's delivery ack
-          (piggybacked on the credit return) arrives *)
-  | Ik_migrate_ack of { op : int }
-      (** acknowledges every acked broadcast ({!Ik_fleet_state},
-          {!Ik_part_update}; per peer) and every {!Ik_part_records} wave
-          (from the destination, once installed) *)
+      (** unlink notification: orphan cleanup or root-revoke unlink; a
+          redelivery re-runs the unlink, which is idempotent *)
   | Ik_srv_announce of { op : int; name : string; srv_key : Key.t; kernel : int }
-      (** directory replication; op-tagged per peer and retried until
-          acked — the receive is an idempotent directory write *)
+      (** directory replication, one op per peer; a redelivery re-runs
+          the directory write, which is idempotent *)
   | Ik_fleet_state of {
       op : int;
       src_kernel : int;
@@ -155,12 +164,11 @@ type ikc =
       state : Semper_ddl.Membership.kernel_state;
     }
       (** kernel lifecycle transition (join/drain/retire) broadcast to
-          every peer; acked with {!Ik_migrate_ack} per peer *)
+          every peer, one op per peer; deduplicated by op *)
   | Ik_part_update of { op : int; src_kernel : int; pes : int list; new_kernel : int }
-      (** bulk membership flip for a whole partition set: the new owner
-          marks every PE mid-handoff, other replicas
-          [reassign_partition] the set atomically; acked with
-          {!Ik_migrate_ack} per peer *)
+      (** bulk membership flip for a whole partition set, one op per
+          peer: the new owner marks every PE mid-handoff, other replicas
+          [reassign_partition] the set atomically; deduplicated by op *)
   | Ik_part_records of {
       op : int;
       src_kernel : int;
@@ -170,8 +178,7 @@ type ikc =
     }
       (** framed record wave carrying every capability record of the
           partitions in [pes] plus the VPEs living there; sized like an
-          {!Ik_batch} frame and acked by the destination once
-          installed *)
+          {!Ik_batch} frame, acked once installed, deduplicated by op *)
   | Ik_batch of { src_kernel : int; msgs : ikc list }
       (** framed multi-message: every [Ik_*] queued for the same peer
           within one DTU slot window travels as one fabric transfer

@@ -16,7 +16,7 @@
    being misread. *)
 
 let magic = "SEMCKPT1"
-let format_version = 5
+let format_version = 6
 
 type header = {
   version : int;

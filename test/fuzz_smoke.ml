@@ -1,12 +1,15 @@
 (* Smoke gate for the schedule fuzzer, run from the [fuzz-smoke] dune
-   alias (hooked into [dune runtest]). Three checks:
+   alias (hooked into [dune runtest]). Four checks:
 
    1. 50 distinct seed pairs under the full chaos profile all pass the
       liveness / audit / teardown oracles;
    2. the fuzzer is deterministic — the same seed pair twice yields a
       byte-identical outcome line;
    3. the oracles have teeth — with retransmission disabled and drops
-      enabled, at least one pair fails. *)
+      enabled, at least one pair fails;
+   4. fixed sweeps of 2,000 pairs each, the default workload and the
+      fleet workload with two spare kernels ([fuzz --runs 2000] and
+      [fuzz --spares 2 --runs 2000]), all pass. *)
 
 open Semperos
 
@@ -50,6 +53,17 @@ let () =
   let broken = Fuzz.run_many ~spec ~workload_seed:1 ~fault_seed:1_001 ~runs:10 () in
   let caught = List.exists (fun o -> o.Fuzz.failures <> []) broken in
   check "oracles catch loss when retries are disabled" caught;
+
+  List.iter
+    (fun (name, spec) ->
+      let runs = 2_000 in
+      let outcomes = Fuzz.run_many ~spec ~workload_seed:1 ~fault_seed:1_001 ~runs () in
+      let bad = List.filter (fun o -> o.Fuzz.failures <> []) outcomes in
+      List.iter (fun o -> print_endline (Fuzz.outcome_line o)) bad;
+      Printf.printf "fuzz-smoke: %s sweep %d/%d seed pairs clean\n" name (runs - List.length bad)
+        runs;
+      check (name ^ " sweep passes the oracles") (bad = []))
+    [ ("default", Fuzz.default_spec); ("spares=2", Fuzz.spec ~spares:2 ()) ];
 
   if !failed then exit 1;
   print_endline "fuzz-smoke: OK"

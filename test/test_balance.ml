@@ -161,9 +161,9 @@ let test_uniform_load_no_migrations () =
   check Alcotest.int "zero migrations" 0 (List.length r.Skew.migrations)
 
 let test_balancer_under_faults () =
-  (* Drops and duplicates hit each migration's part_update broadcast,
-     its part_records wave and their migrate_ack acks like any other
-     op-tagged message; retransmission and dedup must still converge
+  (* Drops and duplicates hit each migration's part_update broadcast
+     and its part_records wave like any other op-tagged message;
+     retransmission and dedup must still converge
      every migration with no capability leaked. *)
   let fault =
     {

@@ -270,55 +270,61 @@ let test_delegate_via_session_vs_revoke () =
        (fun k -> List.map (fun i -> (k, i)) [ 0L; 300L; 600L; 900L; 1500L; 2500L; 4000L ])
        [ 0; 1 ])
 
-(* A spanning obtain_from races the revocation of the donor's
-   capability and a new allocation that takes over the freed selector
-   while the donor's acceptance is in flight: the child may only ever
-   hang under the capability the donor agreed to give. The donor holds
-   a child of [owner]'s capability, so [owner] revokes it while the
-   donor allocates. The revoke starts 2,000 cycles after the obtain,
-   once the donor's kernel has checked the selector, so the new
-   capability must never gain the child. *)
+(* An obtain_from races the revocation of the donor's capability and a
+   new allocation that takes over the freed selector while the donor's
+   acceptance is in flight: the child may only ever hang under the
+   capability the donor agreed to give. The donor holds a child of
+   [owner]'s capability, so [owner] revokes it while the donor
+   allocates. The revoke starts once the donor's kernel has resolved
+   the selector — 2,000 cycles after a spanning obtain (client in
+   another group), 500 after a group-local one — so the new capability
+   must never gain the child. *)
 let test_obtain_from_vs_selector_reuse () =
-  let reused = ref 0 in
   List.iter
-    (fun alloc_after ->
-      let sys = make () in
-      let owner = System.spawn_vpe sys ~kernel:0 in
-      let donor = System.spawn_vpe sys ~kernel:0 in
-      let client = System.spawn_vpe sys ~kernel:1 in
-      let root = alloc sys owner in
-      let sel =
-        sel_of
-          (System.syscall_sync sys donor
-             (Protocol.Sys_obtain_from { donor_vpe = owner.Vpe.id; donor_sel = root }))
-      in
-      let obtain_result = ref None and revoke_result = ref None and realloc = ref None in
-      System.syscall sys client (Protocol.Sys_obtain_from { donor_vpe = donor.Vpe.id; donor_sel = sel })
-        (fun r -> obtain_result := Some r);
-      run_for sys 2_000L;
-      System.syscall sys owner (Protocol.Sys_revoke { sel = root; own = false }) (fun r ->
-          revoke_result := Some r);
-      run_for sys alloc_after;
-      System.syscall sys donor (Protocol.Sys_alloc_mem { size = 4096L; perms = Perms.rw }) (fun r ->
-          realloc := Some (sel_of r));
-      ignore (System.run sys);
-      let label = Printf.sprintf "(alloc %Ld after the revoke)" alloc_after in
-      check (Alcotest.option reply_t) ("revoke completes " ^ label) (Some Protocol.R_ok)
-        !revoke_result;
-      (match !obtain_result with
-      | Some (Protocol.R_sel _ | Protocol.R_err (Protocol.E_in_revocation | Protocol.E_no_such_cap)) -> ()
-      | Some r -> Alcotest.failf "obtain %s: %a" label Protocol.pp_reply r
-      | None -> Alcotest.failf "obtain %s never completed" label);
-      let new_sel = Option.get !realloc in
-      if new_sel = sel then incr reused;
-      let new_key = Option.get (Capspace.find donor.Vpe.capspace new_sel) in
-      check Alcotest.int ("new capability has no child " ^ label) 0
-        (Mapdb.child_count (Kernel.mapdb (System.kernel sys 0)) new_key);
-      check Alcotest.int ("client holds nothing " ^ label) 0 (Capspace.count client.Vpe.capspace);
-      Audit.check sys)
-    (List.init 31 (fun i -> Int64.of_int (i * 100)));
-  (* The sweep must reach the race it is about. *)
-  check Alcotest.bool "some allocation reused the selector" true (!reused > 0)
+    (fun (client_kernel, revoke_after) ->
+      let reused = ref 0 in
+      List.iter
+        (fun alloc_after ->
+          let sys = make () in
+          let owner = System.spawn_vpe sys ~kernel:0 in
+          let donor = System.spawn_vpe sys ~kernel:0 in
+          let client = System.spawn_vpe sys ~kernel:client_kernel in
+          let root = alloc sys owner in
+          let sel =
+            sel_of
+              (System.syscall_sync sys donor
+                 (Protocol.Sys_obtain_from { donor_vpe = owner.Vpe.id; donor_sel = root }))
+          in
+          let obtain_result = ref None and revoke_result = ref None and realloc = ref None in
+          System.syscall sys client (Protocol.Sys_obtain_from { donor_vpe = donor.Vpe.id; donor_sel = sel })
+            (fun r -> obtain_result := Some r);
+          run_for sys revoke_after;
+          System.syscall sys owner (Protocol.Sys_revoke { sel = root; own = false }) (fun r ->
+              revoke_result := Some r);
+          run_for sys alloc_after;
+          System.syscall sys donor (Protocol.Sys_alloc_mem { size = 4096L; perms = Perms.rw }) (fun r ->
+              realloc := Some (sel_of r));
+          ignore (System.run sys);
+          let label =
+            Printf.sprintf "(client on kernel %d, alloc %Ld after the revoke)" client_kernel alloc_after
+          in
+          check (Alcotest.option reply_t) ("revoke completes " ^ label) (Some Protocol.R_ok)
+            !revoke_result;
+          (match !obtain_result with
+          | Some (Protocol.R_sel _ | Protocol.R_err (Protocol.E_in_revocation | Protocol.E_no_such_cap)) -> ()
+          | Some r -> Alcotest.failf "obtain %s: %a" label Protocol.pp_reply r
+          | None -> Alcotest.failf "obtain %s never completed" label);
+          let new_sel = Option.get !realloc in
+          if new_sel = sel then incr reused;
+          let new_key = Option.get (Capspace.find donor.Vpe.capspace new_sel) in
+          check Alcotest.int ("new capability has no child " ^ label) 0
+            (Mapdb.child_count (Kernel.mapdb (System.kernel sys 0)) new_key);
+          check Alcotest.int ("client holds nothing " ^ label) 0 (Capspace.count client.Vpe.capspace);
+          Audit.check sys)
+        (List.init 31 (fun i -> Int64.of_int (i * 100)));
+      (* The sweep must reach the race it is about. *)
+      check Alcotest.bool "some allocation reused the selector" true (!reused > 0))
+    [ (1, 2_000L); (0, 500L) ]
 
 (* Concurrent revokes racing from both ends of a spanning chain. *)
 let test_race_revokes_both_ends () =
@@ -452,7 +458,8 @@ let test_redelivered_obtain_req () =
   Audit.check sys
 
 (* A redelivered delegate ack must not double-insert the child or
-   release a second protocol thread. *)
+   release a second protocol thread; it is acked again on its credit
+   return, which leaves the source with nothing to retransmit. *)
 let test_redelivered_delegate_ack () =
   let sys = make () in
   let sender = System.spawn_vpe sys ~kernel:0 in
@@ -484,6 +491,12 @@ let test_redelivered_delegate_ack () =
   check Alcotest.int "receiver still holds one selector" 1 (Capspace.count receiver.Vpe.capspace);
   check Alcotest.int "thread pool untouched" idle_threads
     (Thread_pool.in_use (Kernel.threads (System.kernel sys 1)));
+  List.iter
+    (fun k ->
+      check Alcotest.string
+        (Printf.sprintf "kernel %d quiescent" (Kernel.id k))
+        "quiescent" (Kernel.quiescence_report k))
+    (System.kernels sys);
   Audit.check sys;
   (* The machinery still works after the duplicate: a fresh exchange and
      a full revoke complete normally. *)
@@ -522,15 +535,16 @@ let test_redelivered_revoke_req () =
     (Capspace.count v1.Vpe.capspace + Capspace.count v2.Vpe.capspace);
   Audit.check sys
 
-(* The idempotency caches (remote op results, delegate acks) must not
-   grow without bound: entries older than the retry window are evicted
-   lazily on the next syscall or IKC delivery. *)
+(* The idempotency cache (cached replies of handled remote ops) must
+   not grow without bound: entries older than the retry window are
+   evicted lazily on the next syscall or IKC delivery. *)
 let test_idempotency_cache_eviction () =
   let sys = make () in
   let v1 = System.spawn_vpe sys ~kernel:0 in
   let v2 = System.spawn_vpe sys ~kernel:1 in
   (* Cross-kernel traffic in both directions populates both kernels'
-     caches: obtains record remote-op results, delegates record acks. *)
+     caches: obtains at the donor's kernel, delegates at the
+     receiver's. *)
   for _ = 1 to 4 do
     let a = alloc sys v1 in
     (match
@@ -546,11 +560,7 @@ let test_idempotency_cache_eviction () =
     | r -> Alcotest.failf "delegate: %a" Protocol.pp_reply r
   done;
   let filled =
-    List.fold_left
-      (fun acc k ->
-        let r, a = Kernel.idempotency_cache_sizes k in
-        acc + r + a)
-      0 (System.kernels sys)
+    List.fold_left (fun acc k -> acc + Kernel.idempotency_cache_sizes k) 0 (System.kernels sys)
   in
   check Alcotest.bool "caches populated by cross-kernel traffic" true (filled > 0);
   (* Let the retry window (the full exponential-backoff schedule plus
@@ -561,10 +571,7 @@ let test_idempotency_cache_eviction () =
   ignore (alloc sys v1);
   ignore (alloc sys v2);
   List.iter
-    (fun k ->
-      let r, a = Kernel.idempotency_cache_sizes k in
-      check Alcotest.int "remote-op cache drained" 0 r;
-      check Alcotest.int "ack cache drained" 0 a)
+    (fun k -> check Alcotest.int "remote-op cache drained" 0 (Kernel.idempotency_cache_sizes k))
     (System.kernels sys);
   Audit.check sys
 

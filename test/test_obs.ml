@@ -304,7 +304,7 @@ let test_trace_records_protocol () =
       {|{"ts":24285,"kind":"revoke_sweep","op":2,"src":0,"dst":-1,"detail":"deleted=1"}|};
     ]
     (List.filter (fun l -> contains l "\"kind\":\"revoke_") (String.split_on_char '\n' jsonl));
-  check Alcotest.string "fingerprint" "0bf5cdcecfc1aca99627363f147b98ea" (System.fingerprint sys)
+  check Alcotest.string "fingerprint" "74317b71422bd3546d982ebece68c798" (System.fingerprint sys)
 
 (* The load balancer's occupancy inputs must be exported for every
    kernel unconditionally — `semperos_cli stats` shows them whether or
